@@ -67,7 +67,8 @@ def null_space_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     m, n = a.shape
     if m == 0:
         return np.eye(n, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    # vh is n x n either way; the full m x m U of a tall matrix is never needed
+    _, s, vh = np.linalg.svd(a, full_matrices=(m < n))
     if s.size and s[0] > 0.0:
         rank = int(np.sum(s > tol.rank_rel_tol * s[0]))
     else:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import DomainGuardViolation, GpcpdError
+from .exceptions import ConditioningError, DomainGuardViolation
 
 
 @dataclass
@@ -58,13 +58,15 @@ def minimize(
     residual drops below ``opts.residual_tol * scale``, the accepted step is
     relatively small, or the iteration cap is hit. A DomainGuardViolation
     raised by ``residual`` at the initial point propagates to the caller;
-    violations at trial points reject the step.
+    violations at trial points reject the step. A non-finite residual at the
+    initial point or a non-finite Jacobian raises ConditioningError, which
+    ``decompose`` treats as a failed attempt and retries.
     """
     opts = opts or LMOptions()
     x = np.asarray(x0, dtype=np.complex128).reshape(-1)
     r = np.asarray(residual(x), dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(r)):
-        raise GpcpdError("non-finite residual at the initial point")
+        raise ConditioningError("non-finite residual at the initial point")
     rnorm = float(np.linalg.norm(r))
     lam = opts.damping_init
     target = opts.residual_tol * scale
@@ -73,6 +75,7 @@ def minimize(
 
     if x.size == 0:
         return LMOutcome(x, rnorm, 0, "residual_zero" if rnorm <= target else "max_iters")
+    eye = np.eye(x.size)
 
     for _ in range(opts.max_iters):
         if rnorm <= target:
@@ -81,14 +84,14 @@ def minimize(
         iterations += 1
         j = np.asarray(jacobian(x), dtype=np.complex128)
         if not np.all(np.isfinite(j)):
-            raise GpcpdError("non-finite Jacobian")
+            raise ConditioningError("non-finite Jacobian")
         jh = j.conj().T
         a = jh @ j
         g = jh @ r
         accepted = False
         while lam <= _DAMPING_CAP:
             try:
-                delta = np.linalg.solve(a + lam * np.eye(x.size), -g)
+                delta = np.linalg.solve(a + lam * eye, -g)
             except np.linalg.LinAlgError:
                 lam *= opts.damping_up
                 continue

@@ -123,13 +123,18 @@ def eval_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor, eps_iso: float
     xbar = frame.Q @ y
     u = xbar[:n2]
     s = _guard(u, eps_iso)
-    w = np.tensordot(y, frame.tq, axes=([0], [0]))  # (n2, n3) = xbar^T x_1 T
+    w = y @ frame.tq.swapaxes(0, 1)  # (n2, n3) = xbar^T x_1 T
     zw = w - np.outer(u, (u @ w)) / s
     return zw.reshape(-1, order="F")
 
 
 def jac_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor, eps_iso: float = 1e-8) -> np.ndarray:
-    """Analytic Jacobian of ``eval_fQ`` w.r.t. x (holomorphic, no conjugation)."""
+    """Analytic Jacobian of ``eval_fQ`` w.r.t. x (holomorphic, no conjugation).
+
+    Column j differentiates along du = Q[:n2, j], dw = tq[j]:
+    d(Z W) = dZ W + Z dW with Z = I - u u^T / s and ds = 2 u^T du; all r - 1
+    columns are formed at once as an (r-1, n2, n3) stack.
+    """
     r = rt.rank
     n2 = rt.slice_cols
     n3 = rt.n_slices
@@ -137,22 +142,17 @@ def jac_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor, eps_iso: float 
     xbar = frame.Q @ y
     u = xbar[:n2]
     s = _guard(u, eps_iso)
-    w = np.tensordot(y, frame.tq, axes=([0], [0]))
+    w = y @ frame.tq.swapaxes(0, 1)
     uw = u @ w  # (n3,)
-    cols = np.empty((n2 * n3, r - 1), dtype=np.complex128)
-    for j in range(r - 1):
-        du = frame.Q[:n2, j]
-        dw = frame.tq[j]  # d(xbar^T x_1 T)/dx_j
-        ds = 2.0 * (u @ du)
-        # d(Z W) = dZ W + Z dW with Z = I - u u^T / s
-        dzw = (
-            -(np.outer(du, uw) + np.outer(u, du @ w)) / s
-            + np.outer(u, uw) * (ds / s**2)
-            + dw
-            - np.outer(u, (u @ dw)) / s
-        )
-        cols[:, j] = dzw.reshape(-1, order="F")
-    return cols
+    du = frame.Q[:n2, : r - 1].T  # (r-1, n2)
+    dw = frame.tq[: r - 1]  # (r-1, n2, n3): d(xbar^T x_1 T)/dx_j
+    ds = 2.0 * (du @ u)  # (r-1,)
+    dzw = (
+        dw
+        - (du[:, :, None] * uw + u[:, None] * (du @ w + u @ dw)[:, None, :]) / s
+        + (ds / s**2)[:, None, None] * np.outer(u, uw)
+    )
+    return dzw.transpose(2, 1, 0).reshape(n2 * n3, r - 1)
 
 
 def extract_eigenvalues(s_row: np.ndarray, rt: ReducedTensor, eps_iso: float = 1e-8) -> np.ndarray:
@@ -180,6 +180,37 @@ def eig_residual(s_row: np.ndarray, lambdas: np.ndarray, rt: ReducedTensor) -> f
     return float(np.max(np.linalg.norm(res, axis=0)))
 
 
+def _unfolded(rt: ReducedTensor) -> np.ndarray:
+    """(n2 n3) x r matrix B with B s = vec(T^T s): block k is T_k^T."""
+    r, n2, n3 = rt.T.data.shape
+    return rt.T.data.transpose(2, 1, 0).reshape(n2 * n3, r)
+
+
+def eval_eig(s_row: np.ndarray, lambdas: np.ndarray, rt: ReducedTensor) -> np.ndarray:
+    """Raw eigen-equation residual vec(T_k^T s - lambda_k s[:n2]), k = 1 .. n3, lambda_1 = 1."""
+    s_row = np.asarray(s_row, dtype=np.complex128).reshape(-1)
+    lam_full = np.concatenate([[1.0], np.asarray(lambdas, dtype=np.complex128)])
+    return _unfolded(rt) @ s_row - np.outer(lam_full, s_row[: rt.slice_cols]).reshape(-1)
+
+
+def jac_eig(s_row: np.ndarray, lambdas: np.ndarray, rt: ReducedTensor) -> np.ndarray:
+    """Analytic Jacobian of ``eval_eig`` w.r.t. (s, lambda_2 .. lambda_n3).
+
+    Row block k holds T_k^T - lambda_k [I_n2 0] in the s columns and -s[:n2]
+    in the column of lambda_k (none for the fixed lambda_1).
+    """
+    s_row = np.asarray(s_row, dtype=np.complex128).reshape(-1)
+    r, n2, n3 = rt.T.data.shape
+    lam_full = np.concatenate([[1.0], np.asarray(lambdas, dtype=np.complex128)])
+    j = np.zeros((n2 * n3, r + n3 - 1), dtype=np.complex128)
+    j[:, :r] = _unfolded(rt)
+    rows = np.arange(n2 * n3)
+    j[rows, rows % n2] -= np.repeat(lam_full, n2)
+    tail = rows[n2:]
+    j[tail, r - 1 + tail // n2] = -np.tile(s_row[:n2], n3 - 1)
+    return j
+
+
 def refine_row(
     s_row: np.ndarray, lambdas: np.ndarray, rt: ReducedTensor, iters: int = 3
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -190,26 +221,14 @@ def refine_row(
     push both the direction and the eigenvalues to the round-off floor, which
     stage 2 needs when it reuses the row. Keeps the row unit norm.
     """
-    t = rt.T.data
-    r, n2, n3 = t.shape
+    r = rt.rank
     s = np.asarray(s_row, dtype=np.complex128).copy()
     lam = np.asarray(lambdas, dtype=np.complex128).copy()
     best = (s, lam, eig_residual(s, lam, rt))
     for _ in range(iters):
-        u = s[:n2]
-        lam_full = np.concatenate([[1.0], lam])
-        w = np.tensordot(s, t, axes=([0], [0]))
-        res = (w - np.outer(u, lam_full)).reshape(-1, order="F")
-        j = np.zeros((n2 * n3 + 1, r + n3 - 1), dtype=np.complex128)
-        for k in range(n3):
-            block = slice(k * n2, (k + 1) * n2)
-            jk = t[:, :, k].T.copy()
-            jk[:, :n2] -= lam_full[k] * np.eye(n2)
-            j[block, :r] = jk
-            if k >= 1:
-                j[block, r + k - 1] = -u
-        j[-1, :r] = s.conj()  # gauge: move within the unit sphere's tangent space
-        rhs = -np.concatenate([res, [0.0]])
+        # gauge row: move within the unit sphere's tangent space
+        j = np.vstack([jac_eig(s, lam, rt), np.concatenate([s.conj(), np.zeros(lam.size)])])
+        rhs = -np.concatenate([eval_eig(s, lam, rt), [0.0]])
         delta, _, _, _ = np.linalg.lstsq(j, rhs, rcond=None)
         s = s + delta[:r]
         nrm = np.linalg.norm(s)

@@ -154,7 +154,7 @@ def assemble_stage2(rt: ReducedTensor, found: EigRowSet, tol) -> Stage2System:
         raise InconsistentSystemError(
             f"combined linear system inconsistent: residual {lls_residual:.3e} vs scale {scale:.3e}"
         )
-    n = null_space_basis(a_hat, tol)
+    n = np.ascontiguousarray(null_space_basis(a_hat, tol))  # row blocks reshape as views
     width = r * (r - n2)
     p0 = [unvec(p_vec[(k - 2) * width : (k - 1) * width], (r, r - n2)) for k in range(2, n3 + 1)]
     n_blocks = [n[(k - 2) * width : (k - 1) * width, :] for k in range(2, n3 + 1)]
@@ -202,23 +202,30 @@ def eval_g(x: np.ndarray, sys: Stage2System, rt: ReducedTensor) -> np.ndarray:
 
 
 def jac_g(x: np.ndarray, sys: Stage2System, rt: ReducedTensor) -> np.ndarray:
-    """Analytic Jacobian of ``eval_g`` chained through the null-space blocks."""
-    r, n2 = sys.rank, sys.n2
+    """Analytic Jacobian of ``eval_g`` chained through the null-space blocks.
+
+    Block (i, j) is d_Pi N_i + d_Pj N_j with d_Pi = P_j[n2:]^T (x) I_r - I (x) M_j
+    and d_Pj = I (x) M_i - P_i[n2:]^T (x) I_r. With N_k viewed as (r-n2, r, d),
+    [c, a] holding entry (a, c) of P_k, (B^T (x) I_r) N_k is B contracted with
+    the first axis of N_k and (I (x) M) N_k is M @ N_k: no Kronecker factor is
+    formed.
+    """
+    r, n2, d = sys.rank, sys.n2, sys.d
+    t = r - n2
     pks = sys.pk_from_x(x)
     ms = _m_matrices(rt, pks)
-    eye_r = np.eye(r)
-    eye_t = np.eye(r - n2)
+    nks = [nk.reshape(t, r, d) for nk in sys.N_blocks]
     pair_list = _pairs(sys.n3)
-    block_rows = r * (r - n2)
-    out = np.zeros((block_rows * len(pair_list), sys.d), dtype=np.complex128)
+    out = np.empty((len(pair_list), t, r, d), dtype=np.complex128)
     for row, (i, j) in enumerate(pair_list):
-        pi, pj = pks[i - 2], pks[j - 2]
-        mi, mj = ms[i - 2], ms[j - 2]
-        d_pi = np.kron(pj[n2:, :].T, eye_r) - np.kron(eye_t, mj)
-        d_pj = np.kron(eye_t, mi) - np.kron(pi[n2:, :].T, eye_r)
-        rows = slice(row * block_rows, (row + 1) * block_rows)
-        out[rows, :] = d_pi @ sys.N_blocks[i - 2] + d_pj @ sys.N_blocks[j - 2]
-    return out
+        ni, nj = nks[i - 2], nks[j - 2]
+        out[row] = (
+            np.tensordot(pks[j - 2][n2:, :], ni, axes=(0, 0))
+            - np.tensordot(pks[i - 2][n2:, :], nj, axes=(0, 0))
+            + ms[i - 2] @ nj
+            - ms[j - 2] @ ni
+        )
+    return out.reshape(len(pair_list) * t * r, d)
 
 
 def _start_scales(sys: Stage2System, count: int) -> list:
@@ -266,12 +273,14 @@ _LIFO_LEVELS = 4  # eigenrow counts tried: p, p-1, ..., then straight to 0
 def run_stage2(rt: ReducedTensor, found: EigRowSet, opts: SolveOptions, rng, deadline=None) -> PkSet:
     """Assemble and solve for the P_k, dropping eigenrows last-in-first-out.
 
-    A drop happens both when the combined system is inconsistent at assembly
-    and when the optimization finds no zero of g: either way a slightly wrong
-    stage-1 row should not doom the solve, and p = 0 is always a valid
-    (larger) search space. The descent is bounded: after a few single-row
-    drops it falls straight to p = 0. Success means
-    ||g|| <= residual_zero_tol * ||T||_F^2.
+    A drop happens when the combined system is inconsistent at assembly: a
+    slightly wrong stage-1 row should not doom the solve, and p = 0 is always
+    a valid (larger) search space. The descent is bounded: after a few
+    single-row drops it falls straight to p = 0. The first consistent level is
+    the only one optimized: when its starts find no zero of g, a smaller level
+    rarely does and costs a larger assembly and slower starts, while the
+    caller's next attempt redraws the reduction and the stage-1 rows. Success
+    means ||g|| <= residual_zero_tol * ||T||_F^2.
     """
     rng = as_rng(rng)
     tol = opts.tolerances
@@ -291,4 +300,5 @@ def run_stage2(rt: ReducedTensor, found: EigRowSet, opts: SolveOptions, rng, dea
         result = _solve_system(sys, rt, opts, rng, deadline)
         if result is not None:
             return result
-    raise Stage2FailureError(f"no zero-residual solution in {opts.starts} starts per eigenrow level")
+        break
+    raise Stage2FailureError(f"no zero-residual solution in {opts.starts} starts")

@@ -221,3 +221,23 @@ def test_forced_stage2_truncation_end_to_end(rng):
     factors, report = decompose(tensor, 5, SolveOptions(seed=17, stage1_max_rows=2))
     assert report.success and report.stage_used == "stage2"
     assert relative_error(tensor, factors) <= 1e-6
+
+
+def test_non_finite_lm_value_moves_on_to_next_attempt(rng, monkeypatch):
+    # the first projected-residual evaluation of the first attempt turns inf;
+    # the attempt fails and the retry loop goes on instead of raising
+    import gpcpd.stage1 as stage1
+
+    real = stage1.eval_fQ
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        value = real(*args, **kwargs)
+        return np.full_like(value, np.inf) if len(calls) == 1 else value
+
+    monkeypatch.setattr(stage1, "eval_fQ", poisoned)
+    tensor, _ = planted_instance(rng, 6, 4, 3, 5)
+    factors, report = decompose(tensor, 5, SolveOptions(seed=13))
+    assert report.success and report.retries >= 1
+    assert relative_error(tensor, factors) <= 1e-6

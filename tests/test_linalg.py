@@ -64,6 +64,19 @@ class TestNullSpaceBasis:
         assert np.linalg.norm(n.conj().T @ n - np.eye(n.shape[1])) <= 1e-12
         assert np.linalg.norm(a @ n) <= 1e-10 * np.linalg.norm(a)
 
+    @pytest.mark.parametrize("m, n, rank", [(40, 24, 17), (12, 30, 9), (30, 30, 21), (0, 5, 0)])
+    def test_projector_matches_full_svd(self, rng, m, n, rank):
+        # reference: the null space read off the full SVD, square U included
+        a = complex_normal(rng, (m, rank)) @ complex_normal(rng, (rank, n))
+        if m:
+            _, s, vh = np.linalg.svd(a, full_matrices=True)
+            want = vh[int(np.sum(s > Tolerances().rank_rel_tol * s[0])) :, :].conj().T
+        else:
+            want = np.eye(n)
+        got = null_space_basis(a)
+        assert got.shape == want.shape == (n, n - rank)
+        assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= 1e-12
+
 
 class TestLeastSquaresMinNorm:
     def test_square_nonsingular(self, rng):

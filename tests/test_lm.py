@@ -133,3 +133,18 @@ def test_non_finite_residual_aborts_with_diagnostic():
 
     with pytest.raises(GpcpdError, match="non-finite"):
         minimize(lambda x: np.array([np.inf + 0j]), lambda x: np.eye(1), np.array([1.0 + 0j]))
+
+
+@pytest.mark.parametrize(
+    "residual, jacobian",
+    [
+        (lambda x: np.array([np.nan + 0j]), lambda x: np.eye(1)),
+        (lambda x: x - 2.0, lambda x: np.array([[np.inf + 0j]])),
+    ],
+    ids=["residual", "jacobian"],
+)
+def test_non_finite_values_raise_recoverable_conditioning_error(residual, jacobian):
+    from gpcpd import ConditioningError
+
+    with pytest.raises(ConditioningError, match="non-finite"):
+        minimize(residual, jacobian, np.array([1.0 + 0j]))

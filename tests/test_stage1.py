@@ -5,13 +5,16 @@ from gpcpd import DomainGuardViolation, SolveOptions, fixture_example41, fixture
 from gpcpd.linalg import complex_normal
 from gpcpd.preprocess import ReducedTensor, build_reduced_tensor
 from gpcpd.stage1 import (
+    CommonEigRow,
     EigRowSet,
     SearchFrame,
     build_frame,
     eig_residual,
     eval_fQ,
     extract_eigenvalues,
+    eval_eig,
     find_next_row,
+    jac_eig,
     jac_fQ,
     run_stage1,
 )
@@ -19,6 +22,55 @@ from gpcpd.lm import finite_difference_check
 from gpcpd.tensors import Tensor3
 
 from conftest import planted_generating_data, planted_instance
+
+
+def jac_fQ_loop(x, frame, rt):
+    """Reference: the column-by-column Jacobian of eval_fQ, four outer products per column."""
+    r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
+    y = np.concatenate([x, [1.0]])
+    u = (frame.Q @ y)[:n2]
+    s = u @ u
+    w = np.tensordot(y, frame.tq, axes=([0], [0]))
+    uw = u @ w
+    cols = np.empty((n2 * n3, r - 1), dtype=np.complex128)
+    for j in range(r - 1):
+        du = frame.Q[:n2, j]
+        dw = frame.tq[j]
+        ds = 2.0 * (u @ du)
+        dzw = (
+            -(np.outer(du, uw) + np.outer(u, du @ w)) / s
+            + np.outer(u, uw) * (ds / s**2)
+            + dw
+            - np.outer(u, (u @ dw)) / s
+        )
+        cols[:, j] = dzw.reshape(-1, order="F")
+    return cols
+
+
+def jac_eig_loop(s, lam, rt):
+    """Reference: the slice-by-slice Jacobian of the raw eigen-equations."""
+    t = rt.T.data
+    r, n2, n3 = t.shape
+    lam_full = np.concatenate([[1.0], lam])
+    j = np.zeros((n2 * n3, r + n3 - 1), dtype=np.complex128)
+    for k in range(n3):
+        block = slice(k * n2, (k + 1) * n2)
+        jk = t[:, :, k].T.copy()
+        jk[:, :n2] -= lam_full[k] * np.eye(n2)
+        j[block, :r] = jk
+        if k >= 1:
+            j[block, r + k - 1] = -s[:n2]
+    return j
+
+
+# (n1, n2, n3, r, rows found before the frame is built)
+ORACLE_SHAPES = [
+    (9, 4, 4, 9, 0),
+    (20, 6, 6, 20, 0),
+    (30, 8, 8, 30, 0),
+    (9, 4, 4, 9, 3),
+    (5, 3, 2, 4, 0),
+]
 
 
 def x_for_row(frame, s_row):
@@ -110,6 +162,58 @@ class TestJacFQ:
         j = jac_fQ(x, frame, rt)
         f = eval_fQ(x, frame, rt)
         assert np.linalg.norm(j.conj().T @ f) <= 1e-8 * max(1.0, np.linalg.norm(j)) * rt.norm()
+
+
+    @pytest.mark.parametrize("n1, n2, n3, r, p", ORACLE_SHAPES)
+    def test_matches_loop_reference(self, rng, n1, n2, n3, r, p):
+        tensor, triple, rt = make_rt(rng, n1, n2, n3, r)
+        found = EigRowSet(rows=[], target=r)
+        if p:
+            s_rows, lam, _ = planted_generating_data(tensor, triple, rt)
+            for i in range(p):
+                s = s_rows[i, :] / np.linalg.norm(s_rows[i, :])
+                found.rows.append(CommonEigRow(s=s, lambdas=lam[1:, i], residual=0.0))
+        frame = build_frame(rt, found, rng)
+        for _ in range(3):
+            x = complex_normal(rng, r - 1)
+            want = jac_fQ_loop(x, frame, rt)
+            got = jac_fQ(x, frame, rt)
+            assert got.shape == want.shape == (n2 * n3, r - 1)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestJacEig:
+    @pytest.mark.parametrize("n1, n2, n3, r", [shape[:4] for shape in ORACLE_SHAPES if not shape[4]])
+    def test_matches_loop_reference(self, rng, n1, n2, n3, r):
+        _, _, rt = make_rt(rng, n1, n2, n3, r)
+        s = complex_normal(rng, r)
+        lam = complex_normal(rng, n3 - 1)
+        want = jac_eig_loop(s, lam, rt)
+        got = jac_eig(s, lam, rt)
+        assert got.shape == want.shape == (n2 * n3, r + n3 - 1)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_finite_difference_agreement(self, rng):
+        _, _, rt = make_rt(rng, 9, 4, 4, 9)
+        worst = 0.0
+        for _ in range(20):
+            z = complex_normal(rng, 9 + 3)
+            worst = max(
+                worst,
+                finite_difference_check(
+                    lambda v: eval_eig(v[:9], v[9:], rt), lambda v: jac_eig(v[:9], v[9:], rt), z
+                ),
+            )
+        assert worst <= 1e-6
+
+    def test_residual_blocks_match_eig_residual(self, rng):
+        tensor, triple, rt = make_rt(rng, 6, 3, 3, 5)
+        s = complex_normal(rng, 5)
+        lam = complex_normal(rng, 2)
+        blocks = eval_eig(s, lam, rt).reshape(3, 3)  # one row per slice k
+        assert np.isclose(np.max(np.linalg.norm(blocks, axis=1)), eig_residual(s, lam, rt), rtol=1e-12)
+        s_rows, lam_true, _ = planted_generating_data(tensor, triple, rt)
+        assert np.linalg.norm(eval_eig(s_rows[0, :], lam_true[1:, 0], rt)) <= 1e-9 * rt.norm() * np.linalg.norm(s_rows[0, :])
 
 
 class TestExtractEigenvalues:

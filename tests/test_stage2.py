@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from gpcpd import InconsistentSystemError, SolveOptions, fixture_example41
+from gpcpd import InconsistentSystemError, SolveOptions, Stage2FailureError, fixture_example41
 from gpcpd.linalg import complex_normal
 from gpcpd.lm import finite_difference_check
 from gpcpd.preprocess import build_reduced_tensor
 from gpcpd.stage1 import CommonEigRow, EigRowSet, eig_residual, run_stage1
 from gpcpd.stage2 import (
+    Stage2System,
+    _m_matrices,
+    _pairs,
     assemble_stage2,
     build_commuting_linear_system,
     build_partial_eig_system,
@@ -18,6 +21,44 @@ from gpcpd.stage2 import (
 from gpcpd.tensors import Tensor3, vec
 
 from conftest import planted_generating_data, planted_instance
+
+
+def jac_g_kron(x, sys2, rt):
+    """Reference: the commutation Jacobian built pair by pair from dense Kronecker factors."""
+    r, n2 = sys2.rank, sys2.n2
+    pks = sys2.pk_from_x(x)
+    ms = _m_matrices(rt, pks)
+    eye_r = np.eye(r)
+    eye_t = np.eye(r - n2)
+    pair_list = _pairs(sys2.n3)
+    block_rows = r * (r - n2)
+    out = np.zeros((block_rows * len(pair_list), sys2.d), dtype=np.complex128)
+    for row, (i, j) in enumerate(pair_list):
+        pi, pj = pks[i - 2], pks[j - 2]
+        mi, mj = ms[i - 2], ms[j - 2]
+        d_pi = np.kron(pj[n2:, :].T, eye_r) - np.kron(eye_t, mj)
+        d_pj = np.kron(eye_t, mi) - np.kron(pi[n2:, :].T, eye_r)
+        rows = slice(row * block_rows, (row + 1) * block_rows)
+        out[rows, :] = d_pi @ sys2.N_blocks[i - 2] + d_pj @ sys2.N_blocks[j - 2]
+    return out
+
+
+def random_system(rng, rt, d):
+    """A Stage2System with random P0 and N: the Jacobian identity needs no assembly."""
+    r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
+    width = r * (r - n2)
+    n = complex_normal(rng, (width * (n3 - 1), d))
+    return Stage2System(
+        A_hat=np.zeros((0, width * (n3 - 1)), dtype=complex),
+        b_hat=np.zeros(0, dtype=complex),
+        P0=[complex_normal(rng, (r, r - n2)) for _ in range(n3 - 1)],
+        N=n,
+        N_blocks=[n[k * width : (k + 1) * width, :] for k in range(n3 - 1)],
+        lls_residual=0.0,
+        rank=r,
+        n2=n2,
+        n3=n3,
+    )
 
 
 def make_planted(rng, n1, n2, n3, r):
@@ -187,6 +228,31 @@ class TestJacG:
         assert np.linalg.norm(j.conj().T @ g) <= 1e-7 * max(1.0, np.linalg.norm(j)) * rt.norm() ** 2
 
 
+    @pytest.mark.parametrize(
+        "n1, n2, n3, r, d",
+        [(9, 4, 4, 9, 7), (20, 6, 6, 20, 7), (30, 8, 8, 30, 5), (5, 3, 2, 4, 6), (9, 4, 4, 9, 0)],
+    )
+    def test_matches_kron_reference(self, rng, n1, n2, n3, r, d):
+        tensor, _ = planted_instance(rng, n1, n2, n3, r)
+        rt = build_reduced_tensor(tensor, r, seed=rng)
+        sys2 = random_system(rng, rt, d)
+        x = complex_normal(rng, d)
+        want = jac_g_kron(x, sys2, rt)
+        got = jac_g(x, sys2, rt)
+        assert got.shape == want.shape == (r * (r - n2) * len(_pairs(n3)), d)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-300)
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_matches_kron_reference_on_assembled_system(self, rng, p):
+        _, _, rt, s_rows, lam, _, _ = make_planted(rng, 9, 4, 4, 9)
+        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, p), SolveOptions().tolerances)
+        assert sys2.d > 0
+        for _ in range(3):
+            x = complex_normal(rng, sys2.d)
+            want = jac_g_kron(x, sys2, rt)
+            assert np.linalg.norm(jac_g(x, sys2, rt) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestRunStage2:
     def test_example41_truncated_to_two_rows(self, rng):
         tensor, _ = fixture_example41()
@@ -222,6 +288,43 @@ class TestRunStage2:
         p_vec = np.concatenate([vec(p) for p in pk.P])
         gap = np.linalg.norm(sys2.A_hat @ p_vec - sys2.b_hat)
         assert gap <= 1e-8 * max(1.0, np.linalg.norm(sys2.b_hat))
+
+
+class TestEigenrowLevels:
+    def record_levels(self, monkeypatch):
+        import gpcpd.stage2 as stage2
+
+        levels = []
+        real = stage2.assemble_stage2
+
+        def recording(rt, found, tol):
+            levels.append(found.p)
+            return real(rt, found, tol)
+
+        monkeypatch.setattr(stage2, "assemble_stage2", recording)
+        return levels
+
+    def test_inconsistent_level_drops_last_row(self, rng, monkeypatch):
+        _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
+        found = planted_rowset(rt, s_rows, lam, 3)
+        bad = found.rows[2]
+        found.rows[2] = CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas, residual=bad.residual)
+        levels = self.record_levels(monkeypatch)
+        pk = run_stage2(rt, found, SolveOptions(), rng)
+        assert levels == [3, 2]
+        assert pk.commutator_bound() <= SolveOptions().tolerances.offdiag_tol
+
+    def test_unsolved_consistent_level_ends_stage2(self, rng, monkeypatch):
+        # no smaller level after a consistent one whose starts found no zero:
+        # the caller's next attempt redraws everything instead
+        import gpcpd.stage2 as stage2
+
+        _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
+        levels = self.record_levels(monkeypatch)
+        monkeypatch.setattr(stage2, "_solve_system", lambda *args: None)
+        with pytest.raises(Stage2FailureError):
+            run_stage2(rt, planted_rowset(rt, s_rows, lam, 3), SolveOptions(), rng)
+        assert levels == [3]
 
 
 def test_dump_system_writes_matrix_files(tmp_path, rng):

@@ -244,6 +244,30 @@ def refine_row(
     return best
 
 
+def accept_row(
+    s_row: np.ndarray, found: EigRowSet, rt: ReducedTensor, opts: SolveOptions, iters: int = 3
+) -> CommonEigRow | None:
+    """Polish a candidate row into the next eigenvector row, or None.
+
+    The row is accepted when its eigen-equation residual is at most
+    residual_zero_tol * ||T||_F after ``refine_row`` and it is numerically
+    independent of the rows already found.
+    """
+    s_row = s_row / np.linalg.norm(s_row)
+    try:
+        lams = extract_eigenvalues(s_row, rt, opts.eps_iso)
+    except DomainGuardViolation:
+        return None
+    s_row, lams, residual = refine_row(s_row, lams, rt, iters)
+    if residual > opts.tolerances.residual_zero_tol * rt.norm():
+        return None
+    stacked = np.vstack([found.stacked(), s_row])
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    if sv[-1] <= opts.tolerances.rank_rel_tol * sv[0]:
+        return None  # numerically dependent on the found rows
+    return CommonEigRow(s=s_row, lambdas=lams, residual=residual)
+
+
 def find_next_row(rt: ReducedTensor, found: EigRowSet, opts: SolveOptions, rng) -> CommonEigRow | None:
     """Multi-start LM search for the next eigenvector row; None when all starts fail."""
     rng = as_rng(rng)
@@ -265,20 +289,9 @@ def find_next_row(rt: ReducedTensor, found: EigRowSet, opts: SolveOptions, rng) 
             continue
         if outcome.residual_norm > accept_tol:
             continue
-        xbar = frame.Q @ np.concatenate([outcome.x_final, [1.0]])
-        s_row = xbar / np.linalg.norm(xbar)
-        try:
-            lams = extract_eigenvalues(s_row, rt, opts.eps_iso)
-        except DomainGuardViolation:
-            continue
-        s_row, lams, residual = refine_row(s_row, lams, rt)
-        if residual > accept_tol:
-            continue
-        stacked = np.vstack([found.stacked(), s_row])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[-1] <= opts.tolerances.rank_rel_tol * sv[0]:
-            continue  # numerically dependent on the found rows
-        return CommonEigRow(s=s_row, lambdas=lams, residual=residual)
+        row = accept_row(frame.Q @ np.concatenate([outcome.x_final, [1.0]]), found, rt, opts)
+        if row is not None:
+            return row
     return None
 
 

@@ -10,25 +10,29 @@ The unknown tails P_k (k = 2 .. n3, each r x (r - n2)) must satisfy
   p rows already found in stage 1;
 * the quadratic commutation equations [T_i P_i] P_j = [T_j P_j] P_i.
 
-The two linear families are stacked into one system A_hat vec(P) = b_hat,
-whose solution set is parametrized as vec(P) = vec(P0) + N x over a null-space
-basis N; the quadratic ones become the least-squares objective g(x).
+With P = [P_2 ... P_n3] (r x m, m = (r - n2)(n3 - 1)) the two linear families
+read P K = R and S^p P = E, i.e. the Kronecker-structured system
+[K^T (x) I_r ; I_m (x) S^p] vec(P) = [vec(R) ; vec(E)]. It is solved from the
+SVDs of the small factors K and S^p (Van Loan, "The ubiquitous Kronecker
+product", 2000), and its solution set is parametrized as vec(P) = vec(P0) + N x
+over a null-space basis N; the quadratic ones become the least-squares
+objective g(x).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InconsistentSystemError, Stage2FailureError
-from .linalg import as_rng, complex_normal, least_squares_min_norm, null_space_basis
+from .linalg import as_rng, complex_normal
+# no longer called here; perfbench/tracer.py looks these names up in this module
+from .linalg import least_squares_min_norm, null_space_basis  # noqa: F401
 from .lm import minimize
 from .options import SolveOptions
 from .preprocess import ReducedTensor
-from .stage1 import EigRowSet
+from .stage1 import EigRowSet, accept_row
 from .tensors import unvec, vec
 
 
@@ -36,24 +40,18 @@ def _pairs(n3: int):
     return [(i, j) for i in range(2, n3 + 1) for j in range(i + 1, n3 + 1)]
 
 
-def _split_slice(rt: ReducedTensor, k: int):
-    """T_k^1 (n2 x n2) and T_k^2 (n2 x (r-n2)): transposed row blocks of T_k."""
-    n2 = rt.slice_cols
-    tk = rt.slice(k)
-    return tk[:n2, :].T, tk[n2:, :].T
-
-
-def dims_d1_d2(rt: ReducedTensor) -> tuple[int, int]:
-    r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
-    return r * n2 * (n3 - 1) * (n3 - 2) // 2, r * (r - n2) * (n3 - 1)
-
-
 @dataclass(frozen=True)
 class Stage2System:
+    """The affine solution set vec(P) = vec(P0) + N x of both linear families.
+
+    ``A_hat`` holds the commuting factor K (m x q), the matrix whose SVD
+    (with that of the small S^p) yields P0 and N; the dense stacked system
+    [K^T (x) I_r ; I_m (x) S^p] is never formed.
+    """
+
     A_hat: np.ndarray
-    b_hat: np.ndarray
     P0: list  # particular solution, r x (r-n2) matrices for k = 2 .. n3
-    N: np.ndarray  # d2 x d orthonormal null-space basis
+    N: np.ndarray  # (r m) x d orthonormal null-space basis
     N_blocks: list  # per-k row blocks of N
     lls_residual: float
     rank: int
@@ -91,97 +89,99 @@ class PkSet:
         return worst
 
 
-def build_commuting_linear_system(rt: ReducedTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Linear block: rows for each pair (i, j), i < j, in lexicographic order.
+def commuting_factor(rt: ReducedTensor) -> tuple[np.ndarray, np.ndarray]:
+    """K (m x q) and R (r x q) of the commuting equations P K = R.
 
-    For n3 < 3 there are no pairs and the block is empty (0 rows).
+    The n2 columns of pair (i, j) hold (T_j^2)^T in row block i and
+    -(T_i^2)^T in row block j; for n3 < 3 there are no pairs (q = 0).
     """
     r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
-    d1, d2 = dims_d1_d2(rt)
-    width = r * (r - n2)
-    a = np.zeros((d1, d2), dtype=np.complex128)
-    b = np.zeros(d1, dtype=np.complex128)
-    block = r * n2
-    for row, (i, j) in enumerate(_pairs(n3)):
-        ti1, ti2 = _split_slice(rt, i)
-        tj1, tj2 = _split_slice(rt, j)
-        rows = slice(row * block, (row + 1) * block)
-        a[rows, (i - 2) * width : (i - 1) * width] = np.kron(tj2, np.eye(r))
-        a[rows, (j - 2) * width : (j - 1) * width] = -np.kron(ti2, np.eye(r))
-        b[rows] = vec(rt.slice(j) @ ti1.T - rt.slice(i) @ tj1.T)
-    return a, b
+    t = r - n2
+    pairs = _pairs(n3)
+    k = np.zeros((n3 - 1, t, len(pairs), n2), dtype=np.complex128)
+    rhs = np.empty((len(pairs), r, n2), dtype=np.complex128)
+    for c, (i, j) in enumerate(pairs):
+        ti, tj = rt.slice(i), rt.slice(j)
+        k[i - 2, :, c] = tj[n2:, :]
+        k[j - 2, :, c] = -ti[n2:, :]
+        rhs[c] = tj @ ti[:n2, :] - ti @ tj[:n2, :]
+    q = len(pairs) * n2
+    return k.reshape((n3 - 1) * t, q), rhs.transpose(1, 0, 2).reshape(r, q)
 
 
-def build_partial_eig_system(rt: ReducedTensor, found: EigRowSet) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenrow block: S^p P_k = D_k S^p[:, n2:] for each k = 2 .. n3."""
+def eigenrow_factor(rt: ReducedTensor, found: EigRowSet) -> tuple[np.ndarray, np.ndarray]:
+    """S^p (p x r) and E (p x m) of the eigenrow equations S^p P = E.
+
+    Block k of E is diag(lambda_k) S^p[:, n2:].
+    """
     r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
-    p = found.p
-    d2 = r * (r - n2) * (n3 - 1)
-    rows_per_k = (r - n2) * p
-    a = np.zeros((rows_per_k * (n3 - 1), d2), dtype=np.complex128)
-    b = np.zeros(rows_per_k * (n3 - 1), dtype=np.complex128)
-    if p == 0:
-        return a, b
     sp = found.stacked()
-    tail = sp[:, n2:]
-    lam = found.lambda_matrix()  # (n3, p) with first row ones
-    width = r * (r - n2)
-    blk = np.kron(np.eye(r - n2), sp)
-    for idx in range(n3 - 1):
-        k = idx + 2
-        rows = slice(idx * rows_per_k, (idx + 1) * rows_per_k)
-        a[rows, idx * width : (idx + 1) * width] = blk
-        b[rows] = vec(np.diag(lam[k - 1]) @ tail)
-    return a, b
+    if found.p == 0:
+        return sp, np.zeros((0, (r - n2) * (n3 - 1)), dtype=np.complex128)
+    lam = found.lambda_matrix()[1:]  # (n3 - 1, p)
+    e = lam[:, :, None] * sp[None, :, n2:]
+    return sp, e.transpose(1, 0, 2).reshape(found.p, -1)
+
+
+def _padded(values: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros(size)
+    out[: values.size] = values
+    return out
 
 
 def assemble_stage2(rt: ReducedTensor, found: EigRowSet, tol) -> Stage2System:
-    """Stack both linear families, solve for P0, and parametrize the null space.
+    """Minimum-norm P0 and null-space basis N of P K = R, S^p P = E.
 
-    Raises InconsistentSystemError when the minimum-norm solution leaves a
-    residual above tolerance (a corrupted eigenrow does this).
+    With K = U_K diag(s_K) V_K^H and S^p = U_S diag(s_S) V_S^H (full U_K, V_S),
+    the coordinates Pt = V_S^H P U_K make the stacked system diagonal: entry
+    (a, b) of Pt meets s_K[b] Pt_ab = Rt_ab and s_S[a] Pt_ab = Et_ab, with
+    Rt = V_S^H R V_K and Et = U_S^H E U_K, so its singular value is
+    hypot(s_K[b], s_S[a]) (both padded with zeros). Entries at or below
+    rank_rel_tol times the largest value are dropped: they are zero in P0 and
+    each one gives the null-space column conj(U_K[:, b]) (x) V_S[:, a].
+
+    Raises InconsistentSystemError when P0 leaves a residual above tolerance
+    (a corrupted eigenrow does this).
     """
     r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
-    a, b = build_commuting_linear_system(rt)
-    at, bt = build_partial_eig_system(rt, found)
-    a_hat = np.vstack([a, at])
-    b_hat = np.concatenate([b, bt])
-    d1, d2 = dims_d1_d2(rt)
-    assert a_hat.shape == (d1 + (r - n2) * (n3 - 1) * found.p, d2)
-    p_vec, lls_residual = least_squares_min_norm(a_hat, b_hat, tol)
-    scale = max(float(np.linalg.norm(b_hat)), 1e-300)
+    t = r - n2
+    k, rhs = commuting_factor(rt)
+    sp, e = eigenrow_factor(rt, found)
+    m = k.shape[0]
+    u_k, s_k, vh_k = np.linalg.svd(k)
+    u_s, s_s, vh_s = np.linalg.svd(sp)
+    v_s = vh_s.conj().T
+    nk, ns = s_k.size, s_s.size
+    r_rot = np.zeros((r, m), dtype=np.complex128)
+    r_rot[:, :nk] = vh_s @ rhs @ vh_k[:nk].conj().T
+    e_rot = np.zeros((r, m), dtype=np.complex128)
+    e_rot[:ns] = (u_s.conj().T @ e @ u_k)[:ns]
+    sk, ss = _padded(s_k, m), _padded(s_s, r)
+    sigma = np.hypot(ss[:, None], sk[None, :])
+    keep = sigma > tol.rank_rel_tol * sigma.max(initial=0.0)
+    num = sk[None, :] * r_rot + ss[:, None] * e_rot
+    pt = np.divide(num, sigma**2, out=np.zeros_like(num), where=keep)
+    p0_mat = v_s @ pt @ u_k.conj().T
+    lls_residual = float(np.hypot(np.linalg.norm(p0_mat @ k - rhs), np.linalg.norm(sp @ p0_mat - e)))
+    scale = max(float(np.hypot(np.linalg.norm(rhs), np.linalg.norm(e))), 1e-300)
     if lls_residual > tol.residual_zero_tol * scale:
         raise InconsistentSystemError(
             f"combined linear system inconsistent: residual {lls_residual:.3e} vs scale {scale:.3e}"
         )
-    n = np.ascontiguousarray(null_space_basis(a_hat, tol))  # row blocks reshape as views
-    width = r * (r - n2)
-    p0 = [unvec(p_vec[(k - 2) * width : (k - 1) * width], (r, r - n2)) for k in range(2, n3 + 1)]
-    n_blocks = [n[(k - 2) * width : (k - 1) * width, :] for k in range(2, n3 + 1)]
+    a_idx, b_idx = np.nonzero(~keep)
+    # column c is conj(U_K[:, b_c]) (x) V_S[:, a_c]; C-contiguous so row blocks reshape as views
+    n = (u_k[:, b_idx].conj()[:, None, :] * v_s[:, a_idx][None, :, :]).reshape(m * r, a_idx.size)
+    width = r * t
     return Stage2System(
-        A_hat=a_hat,
-        b_hat=b_hat,
-        P0=p0,
+        A_hat=k,
+        P0=[p0_mat[:, c * t : (c + 1) * t] for c in range(n3 - 1)],
         N=n,
-        N_blocks=n_blocks,
+        N_blocks=[n[c * width : (c + 1) * width, :] for c in range(n3 - 1)],
         lls_residual=lls_residual,
         rank=r,
         n2=n2,
         n3=n3,
     )
-
-
-def dump_system(sys: Stage2System, out_dir: str | os.PathLike):
-    """Debug dump of A_hat, b_hat and N as row-major [re, im] matrix JSON."""
-
-    def rows(m):
-        m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-    os.makedirs(out_dir, exist_ok=True)
-    for name, mat in (("A_hat", sys.A_hat), ("b_hat", sys.b_hat.reshape(-1, 1)), ("N", sys.N)):
-        with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
-            json.dump({"shape": list(np.atleast_2d(mat).shape), "data": rows(mat)}, fh)
 
 
 def _m_matrices(rt: ReducedTensor, pks: list) -> list:
@@ -241,7 +241,10 @@ def _start_scales(sys: Stage2System, count: int) -> list:
     return ladder[:count]
 
 
-def _solve_system(sys: Stage2System, rt: ReducedTensor, opts: SolveOptions, rng, deadline) -> PkSet | None:
+def _solve_system(
+    sys: Stage2System, rt: ReducedTensor, opts: SolveOptions, rng, deadline, endpoints: list
+) -> PkSet | None:
+    """Multi-start LM on g; failed starts' (residual, x) go to ``endpoints``."""
     scale = rt.norm() ** 2
     accept_tol = opts.tolerances.residual_zero_tol * scale
     if sys.d == 0:
@@ -264,10 +267,40 @@ def _solve_system(sys: Stage2System, rt: ReducedTensor, opts: SolveOptions, rng,
         if outcome.residual_norm <= accept_tol:
             pks = sys.pk_from_x(outcome.x_final)
             return PkSet(P=pks, M=_m_matrices(rt, pks))
+        endpoints.append((outcome.residual_norm, outcome.x_final))
     return None
 
 
+def harvest_rows(
+    sys: Stage2System, rt: ReducedTensor, found: EigRowSet, endpoints, opts: SolveOptions, rng
+) -> EigRowSet:
+    """``found`` plus the eigenrows polished out of failed stage-2 end points.
+
+    A start that stalls at a spurious minimum of g still leaves M_k whose
+    left eigenvectors are mostly close to true common eigenrows (8 of 9 on a
+    planted 9x4x4 at p = 0); each eigenvector of a random combination of the
+    M_k is handed to ``accept_row``, best end point first.
+    """
+    rows = EigRowSet(rows=list(found.rows), target=found.target)
+    for _, x in sorted(endpoints, key=lambda e: e[0]):
+        if rows.complete:
+            break
+        ms = np.array(_m_matrices(rt, sys.pk_from_x(x)))
+        mix = np.tensordot(complex_normal(rng, len(ms)), ms, axes=1)
+        _, vecs = np.linalg.eig(mix.T)  # column t: left eigenvector s with s mix = w_t s
+        for s_row in vecs.T:
+            row = accept_row(s_row, rows, rt, opts, _HARVEST_REFINE_ITERS)
+            if row is not None:
+                rows.rows.append(row)
+                if rows.complete:
+                    break
+    return rows
+
+
 _LIFO_LEVELS = 4  # eigenrow counts tried: p, p-1, ..., then straight to 0
+# Gauss-Newton steps from a harvested eigenvector: with the stage-1 default of 3,
+# accepted rows can sit at the residual cutoff and make the grown system inconsistent
+_HARVEST_REFINE_ITERS = 10
 
 
 def run_stage2(rt: ReducedTensor, found: EigRowSet, opts: SolveOptions, rng, deadline=None) -> PkSet:
@@ -277,28 +310,40 @@ def run_stage2(rt: ReducedTensor, found: EigRowSet, opts: SolveOptions, rng, dea
     slightly wrong stage-1 row should not doom the solve, and p = 0 is always
     a valid (larger) search space. The descent is bounded: after a few
     single-row drops it falls straight to p = 0. The first consistent level is
-    the only one optimized: when its starts find no zero of g, a smaller level
-    rarely does and costs a larger assembly and slower starts, while the
-    caller's next attempt redraws the reduction and the stage-1 rows. Success
-    means ||g|| <= residual_zero_tol * ||T||_F^2.
+    the only one optimized: when its starts find no zero of g, the eigenrows
+    harvested from their end points (``harvest_rows``) join the row set and
+    the smaller system is solved, for as long as that adds rows. A smaller
+    level is never tried: it rarely succeeds and costs slower starts, while
+    the caller's next attempt redraws the reduction and the stage-1 rows.
+    Success means ||g|| <= residual_zero_tol * ||T||_F^2.
     """
     rng = as_rng(rng)
     tol = opts.tolerances
     levels = [p for p in range(found.p, max(found.p - _LIFO_LEVELS, 0), -1)]
     if 0 not in levels:
         levels.append(0)
+    sys = None
     for level in levels:
         if deadline is not None and deadline.exceeded():
             break
         working = found.truncated(level)
         try:
             sys = assemble_stage2(rt, working, tol)
+            break
         except InconsistentSystemError:
             if level == 0:
                 raise  # even the bare commuting system has no solution
-            continue
-        result = _solve_system(sys, rt, opts, rng, deadline)
+    while sys is not None:
+        endpoints = []
+        result = _solve_system(sys, rt, opts, rng, deadline, endpoints)
         if result is not None:
             return result
-        break
+        grown = harvest_rows(sys, rt, working, endpoints, opts, rng)
+        if grown.p == working.p:
+            break
+        working = grown
+        try:
+            sys = assemble_stage2(rt, working, tol)
+        except InconsistentSystemError:
+            break
     raise Stage2FailureError(f"no zero-residual solution in {opts.starts} starts")

@@ -11,16 +11,23 @@ from gpcpd.stage2 import (
     _m_matrices,
     _pairs,
     assemble_stage2,
-    build_commuting_linear_system,
-    build_partial_eig_system,
-    dims_d1_d2,
+    commuting_factor,
+    eigenrow_factor,
     eval_g,
+    harvest_rows,
     jac_g,
     run_stage2,
 )
 from gpcpd.tensors import Tensor3, vec
 
 from conftest import planted_generating_data, planted_instance
+from dense_stage2 import (
+    build_commuting_linear_system,
+    build_partial_eig_system,
+    dense_solve,
+    dense_system,
+    dims_d1_d2,
+)
 
 
 def jac_g_kron(x, sys2, rt):
@@ -49,8 +56,7 @@ def random_system(rng, rt, d):
     width = r * (r - n2)
     n = complex_normal(rng, (width * (n3 - 1), d))
     return Stage2System(
-        A_hat=np.zeros((0, width * (n3 - 1)), dtype=complex),
-        b_hat=np.zeros(0, dtype=complex),
+        A_hat=np.zeros(((r - n2) * (n3 - 1), 0), dtype=complex),
         P0=[complex_normal(rng, (r, r - n2)) for _ in range(n3 - 1)],
         N=n,
         N_blocks=[n[k * width : (k + 1) * width, :] for k in range(n3 - 1)],
@@ -162,12 +168,109 @@ class TestAssemble:
     def test_dimension_identities(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 9, 4, 4, 9)
         for p in (0, 2, 5):
-            sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, p), SolveOptions().tolerances)
+            found = planted_rowset(rt, s_rows, lam, p)
+            sys2 = assemble_stage2(rt, found, SolveOptions().tolerances)
+            a_hat, _ = dense_system(rt, found)
             d1, d2 = dims_d1_d2(rt)
             assert d1 == 9 * 4 * 3 * 2 // 2
             assert d2 == 9 * 5 * 3
-            assert sys2.A_hat.shape == (d1 + (9 - 4) * 3 * p, d2)
+            assert a_hat.shape == (d1 + (9 - 4) * 3 * p, d2)
+            assert sys2.A_hat.shape == ((9 - 4) * 3, 4 * 3 * 2 // 2)  # K: m x n2 C(n3-1, 2)
             assert sys2.N.shape[0] == d2
+
+
+class TestFactors:
+    """P K = R and S^p P = E are the dense blocks' equations, vec by vec."""
+
+    @pytest.mark.parametrize("n1, n2, n3", [(9, 4, 4), (8, 5, 3), (9, 4, 2)])
+    def test_commuting_factor_matches_dense_block(self, rng, n1, n2, n3):
+        _, _, rt, _, _, _, _ = make_planted(rng, n1, n2, n3, n1)
+        k, rhs = commuting_factor(rt)
+        a, b = build_commuting_linear_system(rt)
+        p = complex_normal(rng, (n1, k.shape[0]))
+        assert np.linalg.norm(a @ vec(p) - vec(p @ k)) <= 1e-12 * max(np.linalg.norm(a @ vec(p)), 1.0)
+        assert np.array_equal(b, vec(rhs))
+
+    @pytest.mark.parametrize("p_rows", [0, 1, 4])
+    def test_eigenrow_factor_matches_dense_block(self, rng, p_rows):
+        _, _, rt, s_rows, lam, _, _ = make_planted(rng, 9, 4, 4, 9)
+        found = planted_rowset(rt, s_rows, lam, p_rows)
+        sp, e = eigenrow_factor(rt, found)
+        a, b = build_partial_eig_system(rt, found)
+        assert sp.shape == (p_rows, 9) and e.shape == (p_rows, 5 * 3)
+        p = complex_normal(rng, (9, 5 * 3))
+        blocks = [sp @ p[:, c * 5 : (c + 1) * 5] for c in range(3)]
+        assert np.allclose(a @ vec(p), np.concatenate([vec(x) for x in blocks]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(b, np.concatenate([vec(e[:, c * 5 : (c + 1) * 5]) for c in range(3)]), rtol=1e-14, atol=0)
+
+
+AGREEMENT_SHAPES = [(9, 4, 4), (12, 4, 4), (14, 5, 4), (14, 6, 3), (16, 5, 5), (8, 5, 3), (9, 4, 2)]
+
+
+def _p_levels(r):
+    return sorted({0, 1, r // 2, r - 1, r})
+
+
+class TestFactoredMatchesDense:
+    """The factored assembly against the dense lstsq + SVD oracle."""
+
+    @pytest.mark.parametrize(
+        "n1, n2, n3, p",
+        [(n1, n2, n3, p) for n1, n2, n3 in AGREEMENT_SHAPES for p in _p_levels(n1)],
+    )
+    def test_same_solution_set(self, rng, n1, n2, n3, p):
+        _, _, rt, s_rows, lam, _, _ = make_planted(rng, n1, n2, n3, n1)
+        found = planted_rowset(rt, s_rows, lam, p)
+        tol = SolveOptions().tolerances
+        sys2 = assemble_stage2(rt, found, tol)
+        p_dense, n_dense = dense_solve(rt, found, tol)
+        assert sys2.d == n_dense.shape[1]
+        p0 = np.concatenate([vec(m) for m in sys2.P0])
+        assert np.linalg.norm(p0 - p_dense) <= 1e-10 * max(np.linalg.norm(p_dense), 1.0)
+        proj = sys2.N @ sys2.N.conj().T - n_dense @ n_dense.conj().T
+        assert np.linalg.norm(proj) <= 1e-10
+        if p == 0:
+            return
+        bad = found.rows[-1]
+        poisoned = EigRowSet(
+            rows=found.rows[:-1]
+            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, n1), lambdas=bad.lambdas, residual=bad.residual)],
+            target=found.target,
+        )
+        if n3 == 2:
+            # no commuting equations: any p <= r eigenrows are satisfiable
+            assemble_stage2(rt, poisoned, tol)
+            dense_solve(rt, poisoned, tol)
+            return
+        with pytest.raises(InconsistentSystemError):
+            assemble_stage2(rt, poisoned, tol)
+        with pytest.raises(InconsistentSystemError):
+            dense_solve(rt, poisoned, tol)
+
+    def test_commuting_factor_is_empty_for_two_slices(self, rng):
+        _, _, rt, _, _, _, _ = make_planted(rng, 9, 4, 2, 9)
+        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=9), SolveOptions().tolerances)
+        assert sys2.A_hat.shape == (5, 0)
+        assert sys2.d == 9 * 5
+
+
+class TestLargeShapes:
+    """Shapes whose dense system would not fit comfortably in memory."""
+
+    def test_30x8x8_fully_determined_at_p0(self, rng):
+        _, _, rt, _, _, _, p_true = make_planted(rng, 30, 8, 8, 30)
+        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=30), SolveOptions().tolerances)
+        assert sys2.d == 0
+        p0 = np.concatenate([vec(m) for m in sys2.P0])
+        assert np.linalg.norm(p0 - p_true) <= 1e-8 * np.linalg.norm(p_true)
+
+    def test_20x6x6_affine_set_contains_planted(self, rng):
+        _, _, rt, _, _, _, p_true = make_planted(rng, 20, 6, 6, 20)
+        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=20), SolveOptions().tolerances)
+        assert sys2.d > 0
+        p0 = np.concatenate([vec(m) for m in sys2.P0])
+        x_star = sys2.N.conj().T @ (p_true - p0)
+        assert np.linalg.norm(p0 + sys2.N @ x_star - p_true) <= 1e-8 * np.linalg.norm(p_true)
 
 
 class TestEvalG:
@@ -253,6 +356,35 @@ class TestJacG:
             assert np.linalg.norm(jac_g(x, sys2, rt) - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def near_planted_endpoint(rng, sys2, p_true, rel_noise):
+    """Null-space coordinates of the planted tails, perturbed by rel_noise."""
+    p0 = np.concatenate([vec(m) for m in sys2.P0])
+    x_star = sys2.N.conj().T @ (p_true - p0)
+    return x_star + rel_noise * np.linalg.norm(x_star) / np.sqrt(sys2.d) * complex_normal(rng, sys2.d)
+
+
+class TestHarvestRows:
+    def test_near_planted_endpoint_yields_every_row(self, rng):
+        _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 9, 4, 4, 9)
+        opts = SolveOptions()
+        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=9), opts.tolerances)
+        x = near_planted_endpoint(rng, sys2, p_true, 1e-4)
+        rows = harvest_rows(sys2, rt, EigRowSet(rows=[], target=9), [(1.0, x)], opts, rng)
+        assert rows.complete
+        truth = s_rows / np.linalg.norm(s_rows, axis=1, keepdims=True)
+        # each harvested row is a planted eigenrow up to a unimodular factor
+        overlap = np.abs(rows.stacked().conj() @ truth.T)
+        assert np.allclose(np.sort(overlap.max(axis=1)), 1.0, atol=1e-8)
+        assert all(row.residual <= opts.tolerances.residual_zero_tol * rt.norm() for row in rows.rows)
+
+    def test_no_endpoints_keep_the_row_set(self, rng):
+        _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
+        found = planted_rowset(rt, s_rows, lam, 2)
+        sys2 = assemble_stage2(rt, found, SolveOptions().tolerances)
+        rows = harvest_rows(sys2, rt, found, [], SolveOptions(), rng)
+        assert rows.p == 2 and rows is not found
+
+
 class TestRunStage2:
     def test_example41_truncated_to_two_rows(self, rng):
         tensor, _ = fixture_example41()
@@ -284,10 +416,10 @@ class TestRunStage2:
         opts = SolveOptions()
         found = planted_rowset(rt, s_rows, lam, 2)
         pk = run_stage2(rt, found, opts, rng)
-        sys2 = assemble_stage2(rt, found, opts.tolerances)
+        a_hat, b_hat = dense_system(rt, found)
         p_vec = np.concatenate([vec(p) for p in pk.P])
-        gap = np.linalg.norm(sys2.A_hat @ p_vec - sys2.b_hat)
-        assert gap <= 1e-8 * max(1.0, np.linalg.norm(sys2.b_hat))
+        gap = np.linalg.norm(a_hat @ p_vec - b_hat)
+        assert gap <= 1e-8 * max(1.0, np.linalg.norm(b_hat))
 
 
 class TestEigenrowLevels:
@@ -314,6 +446,42 @@ class TestEigenrowLevels:
         assert levels == [3, 2]
         assert pk.commutator_bound() <= SolveOptions().tolerances.offdiag_tol
 
+    def test_failed_level_is_resolved_with_harvested_rows(self, rng, monkeypatch):
+        import gpcpd.stage2 as stage2
+
+        _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
+        levels = self.record_levels(monkeypatch)
+        real = stage2._solve_system
+
+        def first_call_fails(sys2, rt_, opts, rng_, deadline, endpoints):
+            if len(levels) == 1:
+                endpoints.append((1.0, near_planted_endpoint(rng_, sys2, p_true, 1e-4)))
+                return None
+            return real(sys2, rt_, opts, rng_, deadline, endpoints)
+
+        monkeypatch.setattr(stage2, "_solve_system", first_call_fails)
+        pk = run_stage2(rt, planted_rowset(rt, s_rows, lam, 2), SolveOptions(), rng)
+        assert levels == [2, 5]
+        assert pk.commutator_bound() <= SolveOptions().tolerances.offdiag_tol
+
+    def test_inconsistent_harvest_ends_stage2(self, rng, monkeypatch):
+        import gpcpd.stage2 as stage2
+
+        _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
+        found = planted_rowset(rt, s_rows, lam, 3)
+        bad = found.rows[2]
+        poisoned = EigRowSet(
+            rows=found.rows[:2]
+            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas, residual=bad.residual)],
+            target=5,
+        )
+        levels = self.record_levels(monkeypatch)
+        monkeypatch.setattr(stage2, "_solve_system", lambda *args: None)
+        monkeypatch.setattr(stage2, "harvest_rows", lambda *args: poisoned)
+        with pytest.raises(Stage2FailureError):
+            run_stage2(rt, found.truncated(2), SolveOptions(), rng)
+        assert levels == [2, 3]
+
     def test_unsolved_consistent_level_ends_stage2(self, rng, monkeypatch):
         # no smaller level after a consistent one whose starts found no zero:
         # the caller's next attempt redraws everything instead
@@ -326,16 +494,3 @@ class TestEigenrowLevels:
             run_stage2(rt, planted_rowset(rt, s_rows, lam, 3), SolveOptions(), rng)
         assert levels == [3]
 
-
-def test_dump_system_writes_matrix_files(tmp_path, rng):
-    from gpcpd.stage2 import dump_system
-    import json
-
-    _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-    sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 1), SolveOptions().tolerances)
-    dump_system(sys2, tmp_path)
-    for name, mat in (("A_hat", sys2.A_hat), ("b_hat", sys2.b_hat.reshape(-1, 1)), ("N", sys2.N)):
-        obj = json.loads((tmp_path / f"{name}.json").read_text())
-        assert obj["shape"] == list(mat.shape)
-        got = np.array([[complex(re, im) for re, im in row] for row in obj["data"]])
-        assert np.array_equal(got, mat)

@@ -30,8 +30,7 @@ from .exceptions import (
 )
 from .fixtures import fixture_example41, fixture_example42, gen_random_rank_r
 from .io import load_factors, load_tensor, save_factors, save_tensor
-from .linalg import Tolerances
-from .lm import LMOptions, LMOutcome, finite_difference_check, minimize
+from .lm import LMOutcome, finite_difference_check, minimize
 from .options import SUCCESS_TOL, SolveOptions
 from .preprocess import (
     ReducedTensor,
@@ -47,7 +46,6 @@ from .tensors import (
     Tensor3,
     cpd_to_tensor,
     khatri_rao,
-    kronecker,
     mode_k_flatten,
     mode_t_matrix_product,
     relative_error,

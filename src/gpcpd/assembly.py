@@ -10,8 +10,8 @@ all ones), and U1 solves the mode-1 least-squares system
 * n2 < r <= n1: stage 1 (sequential eigenvector search); if it stalls, stage 2
   (commutation solve) completes the eigenmatrix.
 
-Retries re-randomize, cheapest first: stage randomness through fresh seeds,
-then the augmentation C, then random mode mixing.
+Each retry draws fresh stage randomness and a new augmentation C, and mixes
+modes 1 and 3 by random unitaries.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .exceptions import (
     Stage2FailureError,
     UnsupportedRankError,
 )
-from .linalg import as_rng, complex_normal, least_squares_min_norm, left_eigendecomposition
+from .linalg import as_rng, complex_normal, least_squares_min_norm, left_eigendecomposition, rank_deficient
 from .options import Deadline, SolveOptions
 from .preprocess import (
     ReducedTensor,
@@ -41,7 +41,7 @@ from .preprocess import (
     random_mode_mixing,
 )
 from .stage1 import CommonEigRow, EigRowSet, eig_residual, run_stage1
-from .stage2 import PkSet, run_stage2
+from .stage2 import run_stage2
 from .tensors import (
     DecompReport,
     FactorTriple,
@@ -52,13 +52,14 @@ from .tensors import (
 )
 
 _EIG_COMBO_TRIES = 4
+OFFDIAG_TOL = 1e-6  # off-diagonal mass of S M_k S^{-1}, relative, still counted diagonal
+_MAX_RETRIES = 5  # attempts after the first; every retry mixes modes 1 and 3
 
 
 def recover_U1_lls(u2: np.ndarray, u3: np.ndarray, f: Tensor3) -> tuple[np.ndarray, float]:
     """Solve (U2 kr U3) X = Flatten(f, 1)^T for U1 = X^T; returns (U1, rel residual)."""
     a = khatri_rao(u2, u3)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
+    if rank_deficient(a):
         raise AssemblyError("Khatri-Rao matrix of U2, U3 is column rank deficient")
     b = mode_k_flatten(f, 1).T
     x, residual = least_squares_min_norm(a, b)
@@ -71,8 +72,7 @@ def decomposition_from_eigmatrix(rows: EigRowSet, f: Tensor3, rt: ReducedTensor)
     if not rows.complete:
         raise AssemblyError(f"eigenmatrix incomplete: {rows.p} of {rows.target} rows")
     s = rows.stacked()
-    sv = np.linalg.svd(s, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
+    if rank_deficient(s):
         raise AssemblyError("stacked eigenmatrix is numerically singular")
     n2 = rt.slice_cols
     u2 = s[:, :n2].T
@@ -81,19 +81,19 @@ def decomposition_from_eigmatrix(rows: EigRowSet, f: Tensor3, rt: ReducedTensor)
     return FactorTriple(u1, u2, u3, rows.target)
 
 
-def eigmatrix_from_pkset(pk: PkSet, rt: ReducedTensor, tol, rng=None) -> EigRowSet:
-    """Simultaneously diagonalize the generating matrices into an eigenmatrix.
+def eigmatrix_from_pkset(ms: list, rt: ReducedTensor, rng=None) -> EigRowSet:
+    """Simultaneously diagonalize the generating matrices M_2 .. M_n3 into an eigenmatrix.
 
     Tries M_2 first, then random complex combinations of all M_k (tie-broken
-    eigenvalues), validating that every S M_k S^{-1} is diagonal to tolerance.
+    eigenvalues), validating that every S M_k S^{-1} is diagonal to OFFDIAG_TOL.
     """
     rng = as_rng(rng)
     r = rt.rank
     n3 = rt.n_slices
-    candidates = [pk.M[0]]
+    candidates = [ms[0]]
     for _ in range(_EIG_COMBO_TRIES - 1):
-        alpha = complex_normal(rng, len(pk.M))
-        candidates.append(sum(a * m for a, m in zip(alpha, pk.M)))
+        alpha = complex_normal(rng, len(ms))
+        candidates.append(sum(a * m for a, m in zip(alpha, ms)))
     last_error = "no candidate eigenbasis tried"
     for source in candidates:
         eig = left_eigendecomposition(source)
@@ -108,11 +108,11 @@ def eigmatrix_from_pkset(pk: PkSet, rt: ReducedTensor, tol, rng=None) -> EigRowS
             continue
         lambdas = np.empty((r, n3 - 1), dtype=np.complex128)
         ok = True
-        for idx, m in enumerate(pk.M):
+        for idx, m in enumerate(ms):
             e = s @ m @ s_inv
             diag = np.diag(np.diagonal(e))
             off = float(np.linalg.norm(e - diag))
-            if off > tol.offdiag_tol * max(float(np.linalg.norm(e)), 1e-300):
+            if off > OFFDIAG_TOL * max(float(np.linalg.norm(e)), 1e-300):
                 ok = False
                 last_error = f"off-diagonal mass {off:.2e} too large for slice {idx + 2}"
                 break
@@ -141,22 +141,20 @@ def _factors_from_reduced_eigmatrix(rows: EigRowSet, f: Tensor3, r: int) -> Fact
     sub = Tensor3(f.data[:, :r, :])
     u1, _ = recover_U1_lls(u2_lead, u3, sub)
     a = khatri_rao(u1, u3)  # mode-2 system: Flatten(f, 2)^T = (U1 kr U3) U2^T
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
+    if rank_deficient(a):
         raise AssemblyError("mode-2 Khatri-Rao matrix rank deficient")
     x, _ = least_squares_min_norm(a, mode_k_flatten(f, 2).T)
     return FactorTriple(u1, x.T, u3, r)
 
 
-def gevd_lowrank_decompose(f: Tensor3, r: int, opts: SolveOptions, rng=None) -> FactorTriple:
+def gevd_lowrank_decompose(f: Tensor3, r: int, rng=None) -> FactorTriple:
     """Low-rank path (r <= n2): eigendecompose a random combination of slices."""
     rng = as_rng(rng)
-    rt = build_reduced_tensor_lowrank(f, r, opts.tolerances)
+    rt = build_reduced_tensor_lowrank(f, r)
     n3 = rt.n_slices
     ms = [rt.slice(k) for k in range(2, n3 + 1)]
     if ms:
-        pk = PkSet(P=[m[:, r:] for m in ms], M=ms)  # square slices: tails are empty
-        rows = eigmatrix_from_pkset(pk, rt, opts.tolerances, rng)
+        rows = eigmatrix_from_pkset(ms, rt, rng)
     else:  # single slice: T_1 = I_r, any basis diagonalizes it
         rows = EigRowSet(
             rows=[
@@ -173,12 +171,12 @@ def gevd_lowrank_decompose(f: Tensor3, r: int, opts: SolveOptions, rng=None) -> 
 
 
 def _middle_rank_attempt(f: Tensor3, r: int, opts: SolveOptions, rng, deadline) -> tuple[FactorTriple, str]:
-    rt = build_reduced_tensor(f, r, opts.tolerances, seed=rng)
+    rt = build_reduced_tensor(f, r, seed=rng)
     found = run_stage1(rt, opts, rng, deadline)
     if found.complete:
         return decomposition_from_eigmatrix(found, f, rt), "stage1"
-    pk = run_stage2(rt, found, opts, rng, deadline)
-    rows = eigmatrix_from_pkset(pk, rt, opts.tolerances, rng)
+    pk = run_stage2(rt, found, rng, deadline)
+    rows = eigmatrix_from_pkset(pk.M, rt, rng)
     return decomposition_from_eigmatrix(rows, f, rt), "stage2"
 
 
@@ -220,19 +218,19 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
     master = np.random.SeedSequence(opts.seed)
     best: tuple[float, FactorTriple, str] | None = None
     attempts = 0
-    for attempt in range(opts.max_retries + 1):
+    for attempt in range(_MAX_RETRIES + 1):
         if attempt > 0 and deadline.exceeded():
             break
         attempts = attempt + 1
         rng = np.random.default_rng(master.spawn(1)[0])
-        mix = opts.mixing == "always" or (opts.mixing == "on-retry" and attempt > 0)
+        mix = attempt > 0
         if mix:
             work, w1, v3 = random_mode_mixing(work0, modes=(1, 3), seed=rng)
         else:
             work, w1, v3 = work0, None, None
         try:
             if lowrank:
-                factors, stage = gevd_lowrank_decompose(work, r, opts, rng), "lowrank-gevd"
+                factors, stage = gevd_lowrank_decompose(work, r, rng), "lowrank-gevd"
             else:
                 factors, stage = _middle_rank_attempt(work, r, opts, rng, deadline)
         except _RECOVERABLE:

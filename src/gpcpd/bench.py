@@ -75,6 +75,10 @@ class BenchConfig:
             raise FormatError(f"unknown distribution {self.distribution!r}")
         if self.workers < 1:
             raise FormatError("workers must be >= 1")
+        try:  # the solver's own rules for both settings
+            SolveOptions(success_tol=self.success_tol, time_limit=self.time_limit)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
 
 
 def load_config(path) -> BenchConfig:
@@ -104,7 +108,7 @@ def load_config(path) -> BenchConfig:
         time_limit=obj.get("time_limit"),
         distribution=obj.get("distribution", "normal"),
         workers=int(obj.get("workers", 1)),
-        success_tol=float(obj.get("success_tol", SUCCESS_TOL)),
+        success_tol=obj.get("success_tol", SUCCESS_TOL),
     )
     cfg.validate()
     return cfg

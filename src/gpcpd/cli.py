@@ -36,11 +36,11 @@ JACOBIAN_FD_BOUND = 1e-6
 
 def _cmd_decompose(args) -> int:
     try:
+        opts = SolveOptions(seed=args.seed, success_tol=args.tol)
         tensor = tio.load_tensor(args.input)
-    except (OSError, FormatError) as exc:
+    except (OSError, ValueError) as exc:  # invalid options, or a FormatError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    opts = SolveOptions(seed=args.seed, success_tol=args.tol)
     try:
         factors, report = decompose(tensor, args.rank, opts)
     except UnsupportedRankError as exc:
@@ -109,7 +109,6 @@ _JACOBIAN_PROFILES = [(5, 3, 3, 5), (6, 4, 3, 5), (7, 3, 3, 6), (9, 4, 4, 9), (8
 def check_jacobians(seed: int = 0, points: int = 20, profiles=_JACOBIAN_PROFILES):
     """Finite-difference sweep over random instances; returns the two maxima."""
     rng = as_rng(seed)
-    opts = SolveOptions()
     worst_fq = 0.0
     worst_g = 0.0
     for n1, n2, n3, r in profiles:
@@ -124,7 +123,7 @@ def check_jacobians(seed: int = 0, points: int = 20, profiles=_JACOBIAN_PROFILES
                     lambda v: eval_fQ(v, frame, rt), lambda v: jac_fQ(v, frame, rt), x
                 ),
             )
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=r), opts.tolerances)
+        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=r))
         for _ in range(points):
             x = (rng.standard_normal(sys2.d) + 1j * rng.standard_normal(sys2.d)) / np.sqrt(2)
             worst_g = max(

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .exceptions import FormatError
+from .exceptions import DegenerateInputError, FormatError
 from .tensors import FactorTriple, Tensor3
 
 
@@ -43,7 +43,7 @@ def tensor_from_dict(obj) -> Tensor3:
     if (
         not isinstance(dims, list)
         or len(dims) != 3
-        or not all(isinstance(n, int) and n >= 1 for n in dims)
+        or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in dims)
     ):
         raise FormatError(f"'dims' must be three positive integers, got {dims!r}")
     data = obj["data"]
@@ -52,7 +52,10 @@ def tensor_from_dict(obj) -> Tensor3:
             f"'data' must hold {dims[0] * dims[1] * dims[2]} entries, got {len(data) if isinstance(data, list) else type(data)}"
         )
     flat = np.array([_pair_to_complex(p, "tensor data") for p in data], dtype=np.complex128)
-    return Tensor3(flat.reshape(dims))
+    try:
+        return Tensor3(flat.reshape(dims))
+    except DegenerateInputError as exc:  # non-finite entries
+        raise FormatError(str(exc)) from exc
 
 
 def _matrix_to_rows(u: np.ndarray) -> list:

@@ -14,26 +14,20 @@ import numpy as np
 from .exceptions import SingularMatrixError
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared across the solver stages.
-
-    rank_rel_tol: singular values below rank_rel_tol * sigma_max count as zero.
-    residual_zero_tol: scale-relative threshold for declaring a residual zero.
-    offdiag_tol: commutation / diagonality checks.
-    """
-
-    rank_rel_tol: float = 1e-10
-    residual_zero_tol: float = 1e-8
-    offdiag_tol: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("rank_rel_tol", "residual_zero_tol", "offdiag_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+# singular values at or below RANK_REL_TOL * sigma_max count as zero
+RANK_REL_TOL = 1e-10
+# a residual at or below RESIDUAL_ZERO_TOL times its scale counts as zero
+RESIDUAL_ZERO_TOL = 1e-8
 
 
-DEFAULT_TOLERANCES = Tolerances()
+def rank_deficient(a: np.ndarray) -> bool:
+    """True when a's smallest singular value is numerically zero (or a is empty or zero)."""
+    s = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
+    return s.size == 0 or s[0] == 0.0 or s[-1] <= RANK_REL_TOL * s[0]
+
+
+def residual_is_zero(residual: float, scale: float) -> bool:
+    return residual <= RESIDUAL_ZERO_TOL * scale
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -54,14 +48,7 @@ def qr_full(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(a, mode="complete")
 
 
-def numerical_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    s = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_rel_tol * s[0]))
-
-
-def null_space_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def null_space_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis N (n x d) of the numerical null space of a (m x n)."""
     a = np.asarray(a, dtype=np.complex128)
     m, n = a.shape
@@ -70,19 +57,17 @@ def null_space_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     # vh is n x n either way; the full m x m U of a tall matrix is never needed
     _, s, vh = np.linalg.svd(a, full_matrices=(m < n))
     if s.size and s[0] > 0.0:
-        rank = int(np.sum(s > tol.rank_rel_tol * s[0]))
+        rank = int(np.sum(s > RANK_REL_TOL * s[0]))
     else:
         rank = 0
     return vh[rank:, :].conj().T
 
 
-def least_squares_min_norm(
-    a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, float]:
+def least_squares_min_norm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares solution of a x = b; returns (x, ||ax - b||_F)."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=tol.rank_rel_tol)
+    x, _, _, _ = np.linalg.lstsq(a, b, rcond=RANK_REL_TOL)
     residual = float(np.linalg.norm(a @ x - b))
     return x, residual
 
@@ -134,15 +119,3 @@ def condition_estimate(a: np.ndarray) -> float:
     if s.size == 0 or s[-1] == 0.0:
         return float("inf")
     return float(s[0] / s[-1])
-
-
-def matrix_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SingularMatrixError(f"square matrix required, got {a.shape}")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] <= tol.rank_rel_tol * s[0]:
-        raise SingularMatrixError(
-            f"matrix numerically singular: sigma_min/sigma_max = {0.0 if s.size == 0 or s[0] == 0 else float(s[-1] / s[0]):.3e}"
-        )
-    return np.linalg.inv(a)

@@ -17,24 +17,6 @@ from .exceptions import ConditioningError, DomainGuardViolation
 
 
 @dataclass
-class LMOptions:
-    max_iters: int = 200
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
-    step_tol: float = 1e-12  # relative step size
-    residual_tol: float = 1e-10  # relative to the caller-supplied scale
-    seed: int | None = None
-
-    def __post_init__(self):
-        if not (self.damping_up > 1.0 > self.damping_down > 0.0):
-            raise ValueError("need damping_up > 1 > damping_down > 0")
-        for name in ("max_iters", "damping_init", "step_tol", "residual_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass
 class LMOutcome:
     x_final: np.ndarray
     residual_norm: float
@@ -42,34 +24,38 @@ class LMOutcome:
     converged_reason: str  # "residual_zero" | "small_step" | "max_iters"
 
 
+_MAX_ITERS = 200
+_DAMPING_INIT = 1e-3
+_DAMPING_UP = 10.0
+_DAMPING_DOWN = 0.1
 _DAMPING_CAP = 1e16
+_STEP_TOL = 1e-12  # relative step size
+_RESIDUAL_TOL = 1e-10  # relative to the caller-supplied scale
 
 
 def minimize(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    opts: LMOptions | None = None,
     scale: float = 1.0,
 ) -> LMOutcome:
     """Minimize ||residual(x)||^2 from x0.
 
     Accepted iterates have nonincreasing residual norm. Returns when the
-    residual drops below ``opts.residual_tol * scale``, the accepted step is
+    residual drops below ``_RESIDUAL_TOL * scale``, the accepted step is
     relatively small, or the iteration cap is hit. A DomainGuardViolation
     raised by ``residual`` at the initial point propagates to the caller;
     violations at trial points reject the step. A non-finite residual at the
     initial point or a non-finite Jacobian raises ConditioningError, which
     ``decompose`` treats as a failed attempt and retries.
     """
-    opts = opts or LMOptions()
     x = np.asarray(x0, dtype=np.complex128).reshape(-1)
     r = np.asarray(residual(x), dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(r)):
         raise ConditioningError("non-finite residual at the initial point")
     rnorm = float(np.linalg.norm(r))
-    lam = opts.damping_init
-    target = opts.residual_tol * scale
+    lam = _DAMPING_INIT
+    target = _RESIDUAL_TOL * scale
     iterations = 0
     reason = "max_iters"
 
@@ -77,7 +63,7 @@ def minimize(
         return LMOutcome(x, rnorm, 0, "residual_zero" if rnorm <= target else "max_iters")
     eye = np.eye(x.size)
 
-    for _ in range(opts.max_iters):
+    for _ in range(_MAX_ITERS):
         if rnorm <= target:
             reason = "residual_zero"
             break
@@ -93,25 +79,25 @@ def minimize(
             try:
                 delta = np.linalg.solve(a + lam * eye, -g)
             except np.linalg.LinAlgError:
-                lam *= opts.damping_up
+                lam *= _DAMPING_UP
                 continue
             try:
                 r_new = np.asarray(residual(x + delta), dtype=np.complex128).reshape(-1)
             except DomainGuardViolation:
-                lam *= opts.damping_up
+                lam *= _DAMPING_UP
                 continue
             rnorm_new = float(np.linalg.norm(r_new))
             if np.isfinite(rnorm_new) and rnorm_new < rnorm:
                 x = x + delta
                 r = r_new
                 rnorm = rnorm_new
-                lam = max(lam * opts.damping_down, 1e-14)
+                lam = max(lam * _DAMPING_DOWN, 1e-14)
                 accepted = True
                 step = float(np.linalg.norm(delta))
-                if step <= opts.step_tol * (1.0 + float(np.linalg.norm(x))):
+                if step <= _STEP_TOL * (1.0 + float(np.linalg.norm(x))):
                     reason = "small_step"
                 break
-            lam *= opts.damping_up
+            lam *= _DAMPING_UP
         if not accepted:
             reason = "small_step"  # damping exhausted: no decreasing step exists
             break

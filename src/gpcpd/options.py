@@ -1,12 +1,17 @@
-"""Solver configuration shared by the pipeline stages."""
+"""Solver configuration: the settings a caller chooses per run.
+
+Everything else the method fixes as constants, each in the module that reads
+it: the rank cutoff and zero-residual test in ``linalg``, the LM settings in
+``lm``, the projector guard and start count in ``stage1``, the diagonality
+test, retry count and mode mixing in ``assembly``.
+"""
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from dataclasses import dataclass, field
-
-from .linalg import Tolerances
-from .lm import LMOptions
+from dataclasses import dataclass
 
 SUCCESS_TOL = 1e-6  # err-rel at or below this counts as a successful decomposition
 
@@ -21,28 +26,27 @@ class Deadline:
     def exceeded(self) -> bool:
         return self.limit is not None and time.perf_counter() - self.start > self.limit
 
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
+
+def _positive_finite(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 @dataclass
 class SolveOptions:
-    max_retries: int = 5
-    success_tol: float = SUCCESS_TOL
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    lm: LMOptions = field(default_factory=LMOptions)
     seed: int | None = None
-    mixing: str = "on-retry"  # "off" | "on-retry" | "always"
-    starts: int = 12  # LM multi-starts per stage-1 row and per stage-2 solve
-    eps_iso: float = 1e-8  # guard on the bilinear square of the projector axis
+    success_tol: float = SUCCESS_TOL
     time_limit: float | None = None  # cooperative per-run budget, seconds
     stage1_max_rows: int | None = None  # cap stage-1 rows (forces stage 2); None = no cap
 
     def __post_init__(self):
-        if self.mixing not in ("off", "on-retry", "always"):
-            raise ValueError(f"mixing must be off|on-retry|always, got {self.mixing!r}")
-        for name in ("success_tol", "starts", "eps_iso"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        if not _positive_finite(self.success_tol):
+            raise ValueError(f"success_tol must be a positive finite number, got {self.success_tol!r}")
+        if self.time_limit is not None and not _positive_finite(self.time_limit):
+            raise ValueError(f"time_limit must be None or a positive finite number, got {self.time_limit!r}")
+        if self.stage1_max_rows is not None and self.stage1_max_rows < 0:
+            raise ValueError(f"stage1_max_rows must be None or >= 0, got {self.stage1_max_rows!r}")

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConditioningError, DimensionMismatchError, GenericityError
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    as_rng,
-    complex_normal,
-    condition_estimate,
-    random_unitary,
-)
+from .linalg import as_rng, complex_normal, condition_estimate, random_unitary, rank_deficient
 from .tensors import Tensor3, mode_t_matrix_product
 
 _COND_CAP = 1e8
@@ -54,10 +47,6 @@ class ReducedTensor:
     def slice_cols(self) -> int:
         return self.T.dims[1]
 
-    @property
-    def is_middle_rank(self) -> bool:
-        return self.slice_cols < self.rank
-
     def slice(self, k: int) -> np.ndarray:
         """Slice T_k, 1-based as in the math."""
         return self.T.data[:, :, k - 1]
@@ -69,20 +58,14 @@ class ReducedTensor:
         return np.eye(self.rank, dtype=np.complex128)[:, : self.slice_cols]
 
 
-def build_reduced_tensor(
-    f: Tensor3,
-    r: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    seed=None,
-) -> ReducedTensor:
+def build_reduced_tensor(f: Tensor3, r: int, seed=None) -> ReducedTensor:
     """Middle-rank reduction; redraws C (<= 10 times) until cond(Fhat) <= 1e8."""
     n1, n2, n3 = f.dims
     if not (n2 < r <= n1):
         raise DimensionMismatchError(f"middle-rank reduction needs n2 < r <= n1, got r={r}, dims={f.dims}")
     rng = as_rng(seed)
     front = f.data[:r, :, 0]
-    s = np.linalg.svd(front, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] <= tol.rank_rel_tol * s[0]:
+    if rank_deficient(front):
         raise GenericityError("first slice of the leading sub-tensor is column rank deficient")
     fhat = None
     cond = np.inf
@@ -101,18 +84,13 @@ def build_reduced_tensor(
     return ReducedTensor(T=t, P=p, C=c, source_dims=f.dims, rank=r, cond_fhat=float(cond))
 
 
-def build_reduced_tensor_lowrank(
-    f: Tensor3,
-    r: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ReducedTensor:
+def build_reduced_tensor_lowrank(f: Tensor3, r: int) -> ReducedTensor:
     """Low-rank reduction (r <= n2): square r x r slices, first slice I_r."""
     n1, n2, n3 = f.dims
     if not (1 <= r <= n2):
         raise DimensionMismatchError(f"low-rank reduction needs 1 <= r <= n2, got r={r}, dims={f.dims}")
     lead = f.data[:r, :r, 0]
-    s = np.linalg.svd(lead, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] <= tol.rank_rel_tol * s[0]:
+    if rank_deficient(lead):
         raise GenericityError("leading r x r block of the first slice is numerically singular")
     p = np.linalg.inv(lead)
     t = mode_t_matrix_product(p, Tensor3(f.data[:r, :r, :]), mode=1)

@@ -21,10 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainGuardViolation
-from .linalg import as_rng, complex_normal, qr_full, random_unitary
+from .linalg import as_rng, complex_normal, qr_full, random_unitary, rank_deficient, residual_is_zero
 from .lm import minimize
 from .options import SolveOptions
 from .preprocess import ReducedTensor
+
+STARTS = 12  # LM multi-starts per stage-1 row search and per stage-2 solve
+_EPS_ISO = 1e-8  # guard on the bilinear square of the projector axis
 
 
 @dataclass(frozen=True)
@@ -107,28 +110,28 @@ def build_frame(rt: ReducedTensor, found: EigRowSet, rng) -> SearchFrame:
     return SearchFrame.from_q(q, rt)
 
 
-def _guard(u: np.ndarray, eps_iso: float) -> complex:
+def _guard(u: np.ndarray) -> complex:
     """Bilinear square u^T u, guarded against the projector's true singularity."""
     nrm2 = float(np.real(np.vdot(u, u)))
     s = complex(u @ u)
-    if nrm2 == 0.0 or abs(s) < eps_iso * nrm2:
+    if nrm2 == 0.0 or abs(s) < _EPS_ISO * nrm2:
         raise DomainGuardViolation("projector axis is numerically isotropic")
     return s
 
 
-def eval_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor, eps_iso: float = 1e-8) -> np.ndarray:
+def eval_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor) -> np.ndarray:
     """Projected residual, zero exactly at generalized common eigenvectors."""
     n2 = rt.slice_cols
     y = np.concatenate([np.asarray(x, dtype=np.complex128).reshape(-1), [1.0]])
     xbar = frame.Q @ y
     u = xbar[:n2]
-    s = _guard(u, eps_iso)
+    s = _guard(u)
     w = y @ frame.tq.swapaxes(0, 1)  # (n2, n3) = xbar^T x_1 T
     zw = w - np.outer(u, (u @ w)) / s
     return zw.reshape(-1, order="F")
 
 
-def jac_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor, eps_iso: float = 1e-8) -> np.ndarray:
+def jac_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor) -> np.ndarray:
     """Analytic Jacobian of ``eval_fQ`` w.r.t. x (holomorphic, no conjugation).
 
     Column j differentiates along du = Q[:n2, j], dw = tq[j]:
@@ -141,7 +144,7 @@ def jac_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor, eps_iso: float 
     y = np.concatenate([np.asarray(x, dtype=np.complex128).reshape(-1), [1.0]])
     xbar = frame.Q @ y
     u = xbar[:n2]
-    s = _guard(u, eps_iso)
+    s = _guard(u)
     w = y @ frame.tq.swapaxes(0, 1)
     uw = u @ w  # (n3,)
     du = frame.Q[:n2, : r - 1].T  # (r-1, n2)
@@ -155,7 +158,7 @@ def jac_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor, eps_iso: float 
     return dzw.transpose(2, 1, 0).reshape(n2 * n3, r - 1)
 
 
-def extract_eigenvalues(s_row: np.ndarray, rt: ReducedTensor, eps_iso: float = 1e-8) -> np.ndarray:
+def extract_eigenvalues(s_row: np.ndarray, rt: ReducedTensor) -> np.ndarray:
     """Eigenvalues lambda_k = u^T (T_k^T s) / (u^T u) for k = 2 .. n3.
 
     The bilinear ratio is degree-0 homogeneous in s, so any nonzero scaling of
@@ -164,7 +167,7 @@ def extract_eigenvalues(s_row: np.ndarray, rt: ReducedTensor, eps_iso: float = 1
     s_row = np.asarray(s_row, dtype=np.complex128).reshape(-1)
     n2 = rt.slice_cols
     u = s_row[:n2]
-    denom = _guard(u, eps_iso)
+    denom = _guard(u)
     w = np.tensordot(s_row, rt.T.data, axes=([0], [0]))  # (n2, n3)
     lams = (u @ w) / denom
     return lams[1:]
@@ -244,52 +247,46 @@ def refine_row(
     return best
 
 
-def accept_row(
-    s_row: np.ndarray, found: EigRowSet, rt: ReducedTensor, opts: SolveOptions, iters: int = 3
-) -> CommonEigRow | None:
+def accept_row(s_row: np.ndarray, found: EigRowSet, rt: ReducedTensor, iters: int = 3) -> CommonEigRow | None:
     """Polish a candidate row into the next eigenvector row, or None.
 
     The row is accepted when its eigen-equation residual is at most
-    residual_zero_tol * ||T||_F after ``refine_row`` and it is numerically
+    zero against ||T||_F (``residual_is_zero``) after ``refine_row`` and it is numerically
     independent of the rows already found.
     """
     s_row = s_row / np.linalg.norm(s_row)
     try:
-        lams = extract_eigenvalues(s_row, rt, opts.eps_iso)
+        lams = extract_eigenvalues(s_row, rt)
     except DomainGuardViolation:
         return None
     s_row, lams, residual = refine_row(s_row, lams, rt, iters)
-    if residual > opts.tolerances.residual_zero_tol * rt.norm():
+    if not residual_is_zero(residual, rt.norm()):
         return None
-    stacked = np.vstack([found.stacked(), s_row])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv[-1] <= opts.tolerances.rank_rel_tol * sv[0]:
+    if rank_deficient(np.vstack([found.stacked(), s_row])):
         return None  # numerically dependent on the found rows
     return CommonEigRow(s=s_row, lambdas=lams, residual=residual)
 
 
-def find_next_row(rt: ReducedTensor, found: EigRowSet, opts: SolveOptions, rng) -> CommonEigRow | None:
+def find_next_row(rt: ReducedTensor, found: EigRowSet, rng) -> CommonEigRow | None:
     """Multi-start LM search for the next eigenvector row; None when all starts fail."""
     rng = as_rng(rng)
     r = rt.rank
     scale = rt.norm()
-    accept_tol = opts.tolerances.residual_zero_tol * scale
-    for _ in range(opts.starts):
+    for _ in range(STARTS):
         frame = build_frame(rt, found, rng)
         x0 = complex_normal(rng, r - 1)
         try:
             outcome = minimize(
-                lambda x: eval_fQ(x, frame, rt, opts.eps_iso),
-                lambda x: jac_fQ(x, frame, rt, opts.eps_iso),
+                lambda x: eval_fQ(x, frame, rt),
+                lambda x: jac_fQ(x, frame, rt),
                 x0,
-                opts.lm,
                 scale=scale,
             )
         except DomainGuardViolation:
             continue
-        if outcome.residual_norm > accept_tol:
+        if not residual_is_zero(outcome.residual_norm, scale):
             continue
-        row = accept_row(frame.Q @ np.concatenate([outcome.x_final, [1.0]]), found, rt, opts)
+        row = accept_row(frame.Q @ np.concatenate([outcome.x_final, [1.0]]), found, rt)
         if row is not None:
             return row
     return None
@@ -303,7 +300,7 @@ def run_stage1(rt: ReducedTensor, opts: SolveOptions, rng, deadline=None) -> Eig
     while found.p < max_rows:
         if deadline is not None and deadline.exceeded():
             break
-        row = find_next_row(rt, found, opts, rng)
+        row = find_next_row(rt, found, rng)
         if row is None:
             break
         found.rows.append(row)

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InconsistentSystemError, Stage2FailureError
-from .linalg import as_rng, complex_normal
+from .linalg import RANK_REL_TOL, as_rng, complex_normal, residual_is_zero
 # no longer called here; perfbench/tracer.py looks these names up in this module
 from .linalg import least_squares_min_norm, null_space_basis  # noqa: F401
 from .lm import minimize
-from .options import SolveOptions
 from .preprocess import ReducedTensor
-from .stage1 import EigRowSet, accept_row
+from .stage1 import STARTS, EigRowSet, accept_row
 from .tensors import unvec, vec
 
 
@@ -129,7 +128,7 @@ def _padded(values: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def assemble_stage2(rt: ReducedTensor, found: EigRowSet, tol) -> Stage2System:
+def assemble_stage2(rt: ReducedTensor, found: EigRowSet) -> Stage2System:
     """Minimum-norm P0 and null-space basis N of P K = R, S^p P = E.
 
     With K = U_K diag(s_K) V_K^H and S^p = U_S diag(s_S) V_S^H (full U_K, V_S),
@@ -137,10 +136,10 @@ def assemble_stage2(rt: ReducedTensor, found: EigRowSet, tol) -> Stage2System:
     (a, b) of Pt meets s_K[b] Pt_ab = Rt_ab and s_S[a] Pt_ab = Et_ab, with
     Rt = V_S^H R V_K and Et = U_S^H E U_K, so its singular value is
     hypot(s_K[b], s_S[a]) (both padded with zeros). Entries at or below
-    rank_rel_tol times the largest value are dropped: they are zero in P0 and
+    RANK_REL_TOL times the largest value are dropped: they are zero in P0 and
     each one gives the null-space column conj(U_K[:, b]) (x) V_S[:, a].
 
-    Raises InconsistentSystemError when P0 leaves a residual above tolerance
+    Raises InconsistentSystemError when P0 leaves a nonzero residual
     (a corrupted eigenrow does this).
     """
     r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
@@ -158,13 +157,13 @@ def assemble_stage2(rt: ReducedTensor, found: EigRowSet, tol) -> Stage2System:
     e_rot[:ns] = (u_s.conj().T @ e @ u_k)[:ns]
     sk, ss = _padded(s_k, m), _padded(s_s, r)
     sigma = np.hypot(ss[:, None], sk[None, :])
-    keep = sigma > tol.rank_rel_tol * sigma.max(initial=0.0)
+    keep = sigma > RANK_REL_TOL * sigma.max(initial=0.0)
     num = sk[None, :] * r_rot + ss[:, None] * e_rot
     pt = np.divide(num, sigma**2, out=np.zeros_like(num), where=keep)
     p0_mat = v_s @ pt @ u_k.conj().T
     lls_residual = float(np.hypot(np.linalg.norm(p0_mat @ k - rhs), np.linalg.norm(sp @ p0_mat - e)))
     scale = max(float(np.hypot(np.linalg.norm(rhs), np.linalg.norm(e))), 1e-300)
-    if lls_residual > tol.residual_zero_tol * scale:
+    if not residual_is_zero(lls_residual, scale):
         raise InconsistentSystemError(
             f"combined linear system inconsistent: residual {lls_residual:.3e} vs scale {scale:.3e}"
         )
@@ -241,19 +240,16 @@ def _start_scales(sys: Stage2System, count: int) -> list:
     return ladder[:count]
 
 
-def _solve_system(
-    sys: Stage2System, rt: ReducedTensor, opts: SolveOptions, rng, deadline, endpoints: list
-) -> PkSet | None:
+def _solve_system(sys: Stage2System, rt: ReducedTensor, rng, deadline, endpoints: list) -> PkSet | None:
     """Multi-start LM on g; failed starts' (residual, x) go to ``endpoints``."""
     scale = rt.norm() ** 2
-    accept_tol = opts.tolerances.residual_zero_tol * scale
     if sys.d == 0:
         g0 = eval_g(np.zeros(0, dtype=np.complex128), sys, rt)
-        if g0.size and float(np.linalg.norm(g0)) > accept_tol:
+        if g0.size and not residual_is_zero(float(np.linalg.norm(g0)), scale):
             return None
         pks = sys.pk_from_x(np.zeros(0, dtype=np.complex128))
         return PkSet(P=pks, M=_m_matrices(rt, pks))
-    for start_scale in _start_scales(sys, opts.starts):
+    for start_scale in _start_scales(sys, STARTS):
         if deadline is not None and deadline.exceeded():
             return None
         x0 = start_scale * complex_normal(rng, sys.d)
@@ -261,19 +257,16 @@ def _solve_system(
             lambda x: eval_g(x, sys, rt),
             lambda x: jac_g(x, sys, rt),
             x0,
-            opts.lm,
             scale=scale,
         )
-        if outcome.residual_norm <= accept_tol:
+        if residual_is_zero(outcome.residual_norm, scale):
             pks = sys.pk_from_x(outcome.x_final)
             return PkSet(P=pks, M=_m_matrices(rt, pks))
         endpoints.append((outcome.residual_norm, outcome.x_final))
     return None
 
 
-def harvest_rows(
-    sys: Stage2System, rt: ReducedTensor, found: EigRowSet, endpoints, opts: SolveOptions, rng
-) -> EigRowSet:
+def harvest_rows(sys: Stage2System, rt: ReducedTensor, found: EigRowSet, endpoints, rng) -> EigRowSet:
     """``found`` plus the eigenrows polished out of failed stage-2 end points.
 
     A start that stalls at a spurious minimum of g still leaves M_k whose
@@ -289,7 +282,7 @@ def harvest_rows(
         mix = np.tensordot(complex_normal(rng, len(ms)), ms, axes=1)
         _, vecs = np.linalg.eig(mix.T)  # column t: left eigenvector s with s mix = w_t s
         for s_row in vecs.T:
-            row = accept_row(s_row, rows, rt, opts, _HARVEST_REFINE_ITERS)
+            row = accept_row(s_row, rows, rt, _HARVEST_REFINE_ITERS)
             if row is not None:
                 rows.rows.append(row)
                 if rows.complete:
@@ -303,7 +296,7 @@ _LIFO_LEVELS = 4  # eigenrow counts tried: p, p-1, ..., then straight to 0
 _HARVEST_REFINE_ITERS = 10
 
 
-def run_stage2(rt: ReducedTensor, found: EigRowSet, opts: SolveOptions, rng, deadline=None) -> PkSet:
+def run_stage2(rt: ReducedTensor, found: EigRowSet, rng, deadline=None) -> PkSet:
     """Assemble and solve for the P_k, dropping eigenrows last-in-first-out.
 
     A drop happens when the combined system is inconsistent at assembly: a
@@ -315,10 +308,9 @@ def run_stage2(rt: ReducedTensor, found: EigRowSet, opts: SolveOptions, rng, dea
     the smaller system is solved, for as long as that adds rows. A smaller
     level is never tried: it rarely succeeds and costs slower starts, while
     the caller's next attempt redraws the reduction and the stage-1 rows.
-    Success means ||g|| <= residual_zero_tol * ||T||_F^2.
+    Success means ||g|| is zero against ||T||_F^2 (``residual_is_zero``).
     """
     rng = as_rng(rng)
-    tol = opts.tolerances
     levels = [p for p in range(found.p, max(found.p - _LIFO_LEVELS, 0), -1)]
     if 0 not in levels:
         levels.append(0)
@@ -328,22 +320,22 @@ def run_stage2(rt: ReducedTensor, found: EigRowSet, opts: SolveOptions, rng, dea
             break
         working = found.truncated(level)
         try:
-            sys = assemble_stage2(rt, working, tol)
+            sys = assemble_stage2(rt, working)
             break
         except InconsistentSystemError:
             if level == 0:
                 raise  # even the bare commuting system has no solution
     while sys is not None:
         endpoints = []
-        result = _solve_system(sys, rt, opts, rng, deadline, endpoints)
+        result = _solve_system(sys, rt, rng, deadline, endpoints)
         if result is not None:
             return result
-        grown = harvest_rows(sys, rt, working, endpoints, opts, rng)
+        grown = harvest_rows(sys, rt, working, endpoints, rng)
         if grown.p == working.p:
             break
         working = grown
         try:
-            sys = assemble_stage2(rt, working, tol)
+            sys = assemble_stage2(rt, working)
         except InconsistentSystemError:
             break
-    raise Stage2FailureError(f"no zero-residual solution in {opts.starts} starts")
+    raise Stage2FailureError(f"no zero-residual solution in {STARTS} starts")

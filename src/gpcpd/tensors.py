@@ -176,11 +176,6 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b[:, None, :] * a[None, :, :]).reshape(p * m, n)
 
 
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the standard block layout A[i, j] * B."""
-    return np.kron(_as_complex(a), _as_complex(b))
-
-
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization (matches vec(AXB) = (B^T kron A) vec(X))."""
     return np.asarray(m).reshape(-1, order="F")

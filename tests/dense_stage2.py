@@ -8,7 +8,7 @@ the way ``gpcpd.stage2.assemble_stage2`` did before it worked on the factors.
 import numpy as np
 
 from gpcpd import InconsistentSystemError
-from gpcpd.linalg import least_squares_min_norm, null_space_basis
+from gpcpd.linalg import least_squares_min_norm, null_space_basis, residual_is_zero
 from gpcpd.stage2 import _pairs
 from gpcpd.tensors import vec
 
@@ -76,11 +76,11 @@ def dense_system(rt, found):
     return np.vstack([a, at]), np.concatenate([b, bt])
 
 
-def dense_solve(rt, found, tol):
+def dense_solve(rt, found):
     """(vec(P0), N) from dense lstsq and SVD; InconsistentSystemError as in assembly."""
     a_hat, b_hat = dense_system(rt, found)
-    p_vec, residual = least_squares_min_norm(a_hat, b_hat, tol)
+    p_vec, residual = least_squares_min_norm(a_hat, b_hat)
     scale = max(float(np.linalg.norm(b_hat)), 1e-300)
-    if residual > tol.residual_zero_tol * scale:
+    if not residual_is_zero(residual, scale):
         raise InconsistentSystemError(f"dense residual {residual:.3e} vs scale {scale:.3e}")
-    return p_vec, null_space_basis(a_hat, tol)
+    return p_vec, null_space_basis(a_hat)

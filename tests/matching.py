@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
-from .tensors import FactorTriple, khatri_rao
+from gpcpd.exceptions import DimensionMismatchError
+from gpcpd.tensors import FactorTriple, khatri_rao
 
 
 def correlation_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

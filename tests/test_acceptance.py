@@ -21,12 +21,6 @@ from gpcpd import (
     relative_error,
 )
 from gpcpd.cli import check_jacobians
-from gpcpd.matching import (
-    essentially_distinct,
-    kr_columns,
-    match_factor_triples,
-    unmatched_kr_columns,
-)
 from gpcpd.preprocess import build_reduced_tensor
 from gpcpd.stage1 import run_stage1
 from gpcpd.stage2 import run_stage2
@@ -34,6 +28,12 @@ from gpcpd.tensors import vec
 
 from conftest import planted_generating_data
 from dense_stage2 import dense_system
+from matching import (
+    essentially_distinct,
+    kr_columns,
+    match_factor_triples,
+    unmatched_kr_columns,
+)
 
 
 def report(num, ok, detail):
@@ -200,7 +200,7 @@ def test_criterion_7_stage2_substitution_soundness():
         found = run_stage1(rt, opts, rng)
         for level in levels:
             sub = found if level is None else found.truncated(min(level, found.p))
-            pk = run_stage2(rt, sub, opts, rng)
+            pk = run_stage2(rt, sub, rng)
             worst_comm = max(worst_comm, pk.commutator_bound())
             a_hat, b_hat = dense_system(rt, sub.truncated(0))
             # solution satisfies the bare commuting system too

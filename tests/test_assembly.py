@@ -20,12 +20,11 @@ from gpcpd.assembly import (
     recover_U1_lls,
 )
 from gpcpd.linalg import complex_normal
-from gpcpd.matching import match_factor_triples, triples_equivalent
 from gpcpd.preprocess import build_reduced_tensor
 from gpcpd.stage1 import run_stage1
-from gpcpd.stage2 import PkSet
 
 from conftest import planted_generating_data, planted_instance, random_triple
+from matching import match_factor_triples, triples_equivalent
 
 
 class TestRecoverU1:
@@ -73,8 +72,7 @@ class TestEigmatrixFromPkset:
         tensor, triple = planted_instance(rng, 6, 3, 3, 5)
         rt = build_reduced_tensor(tensor, 5, seed=rng)
         s_true, lam, ms = planted_generating_data(tensor, triple, rt)
-        pk = PkSet(P=[m[:, 3:] for m in ms], M=ms)
-        rows = eigmatrix_from_pkset(pk, rt, SolveOptions().tolerances, rng)
+        rows = eigmatrix_from_pkset(ms, rt, rng)
         assert rows.complete
         got = rows.stacked()
         want = s_true / np.linalg.norm(s_true, axis=1)[:, None]
@@ -90,29 +88,27 @@ class TestEigmatrixFromPkset:
         tensor, triple = planted_instance(rng, 6, 3, 3, 5)
         rt = build_reduced_tensor(tensor, 5, seed=rng)
         _, _, ms = planted_generating_data(tensor, triple, rt)
-        pk = PkSet(P=[ms[0][:, 3:]] * 2, M=[ms[0]] * 2)
-        rows = eigmatrix_from_pkset(pk, rt, SolveOptions().tolerances, rng)
+        rows = eigmatrix_from_pkset([ms[0]] * 2, rt, rng)
         assert rows.complete
 
     def test_broken_commutators_rejected(self, rng):
         tensor, _ = planted_instance(rng, 6, 3, 3, 5)
         rt = build_reduced_tensor(tensor, 5, seed=rng)
         ms = [complex_normal(rng, (5, 5)) for _ in range(2)]
-        pk = PkSet(P=[m[:, 3:] for m in ms], M=ms)
         with pytest.raises(AssemblyError):
-            eigmatrix_from_pkset(pk, rt, SolveOptions().tolerances, rng)
+            eigmatrix_from_pkset(ms, rt, rng)
 
 
 class TestGevdLowrank:
     def test_planted_rank3(self, rng):
         tensor, triple = planted_instance(rng, 5, 4, 3, 3)
-        factors = gevd_lowrank_decompose(tensor, 3, SolveOptions(), rng)
+        factors = gevd_lowrank_decompose(tensor, 3, rng)
         assert relative_error(tensor, factors) <= 1e-8
         assert triples_equivalent(triple, factors)
 
     def test_rank_one(self, rng):
         tensor, _ = planted_instance(rng, 4, 3, 2, 1)
-        factors = gevd_lowrank_decompose(tensor, 1, SolveOptions(), rng)
+        factors = gevd_lowrank_decompose(tensor, 1, rng)
         assert relative_error(tensor, factors) <= 1e-10
 
     def test_already_diagonal_slices(self, rng):
@@ -123,7 +119,7 @@ class TestGevdLowrank:
         u3 = np.vstack([np.ones((1, r)), rng.standard_normal((2, r))])
         triple = FactorTriple(u1, u2, u3, r)
         tensor = cpd_to_tensor(triple)
-        factors = gevd_lowrank_decompose(tensor, r, SolveOptions(), rng)
+        factors = gevd_lowrank_decompose(tensor, r, rng)
         assert relative_error(tensor, factors) <= 1e-9
         assert triples_equivalent(triple, factors)
 
@@ -155,7 +151,7 @@ class TestDecompose:
     def test_wrong_rank_never_claims_success(self, rng):
         data = rng.standard_normal((4, 3, 3))  # generic: rank > 4
         try:
-            _, report = decompose(Tensor3(data), 4, SolveOptions(seed=1, max_retries=1))
+            _, report = decompose(Tensor3(data), 4, SolveOptions(seed=1))
             assert not report.success
         except DecompositionError:
             pass
@@ -203,13 +199,6 @@ class TestDecompose:
         assert r1.retries == r2.retries
 
 
-def test_always_mixing_still_recovers(rng):
-    tensor, _ = planted_instance(rng, 6, 4, 3, 5)
-    factors, report = decompose(tensor, 5, SolveOptions(seed=13, mixing="always"))
-    assert report.success
-    assert relative_error(tensor, factors) <= 1e-6
-
-
 def test_time_limit_is_cooperative(rng):
     tensor, _ = planted_instance(rng, 6, 4, 3, 5)
     _, report = decompose(tensor, 5, SolveOptions(seed=13, time_limit=300.0))
@@ -241,3 +230,28 @@ def test_non_finite_lm_value_moves_on_to_next_attempt(rng, monkeypatch):
     factors, report = decompose(tensor, 5, SolveOptions(seed=13))
     assert report.success and report.retries >= 1
     assert relative_error(tensor, factors) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"success_tol": 0.0},
+        {"success_tol": -1.0},
+        {"success_tol": float("nan")},
+        {"success_tol": float("inf")},
+        {"success_tol": True},
+        {"time_limit": 0.0},
+        {"time_limit": -1.0},
+        {"time_limit": float("nan")},
+        {"time_limit": float("inf")},
+        {"stage1_max_rows": -1},
+    ],
+)
+def test_solve_options_reject_bad_settings(setting):
+    with pytest.raises(ValueError):
+        SolveOptions(**setting)
+
+
+def test_solve_options_accept_edge_settings():
+    SolveOptions(success_tol=1, time_limit=None, stage1_max_rows=0)
+    SolveOptions(success_tol=np.float64(1e-9), time_limit=np.float32(0.5))

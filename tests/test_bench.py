@@ -121,3 +121,25 @@ def test_worker_env_override(monkeypatch):
     monkeypatch.setenv("GPCPD_BENCH_WORKERS", "1")
     report = run_benchmark(small_config(workers=4))
     assert len(report.runs) == 2
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"success_tol": 0},
+        {"success_tol": -1e-6},
+        {"success_tol": float("nan")},
+        {"success_tol": "1e-6"},
+        {"time_limit": -1},
+        {"time_limit": 0},
+        {"time_limit": float("inf")},
+    ],
+    ids=["tol-zero", "tol-negative", "tol-nan", "tol-string", "limit-negative", "limit-zero", "limit-inf"],
+)
+def test_config_rejects_bad_solver_settings(tmp_path, setting):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"instances": [{"dims": [5, 3, 3], "rank": 4, "count": 1}], **setting}))
+    with pytest.raises(FormatError):
+        load_config(path)
+    with pytest.raises(FormatError):
+        small_config(**setting).validate()

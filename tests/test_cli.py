@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from gpcpd import Tensor3, load_factors, load_tensor, relative_error, save_tensor
 from gpcpd.cli import cli_main
@@ -106,3 +107,29 @@ def test_solve_failure_exit_code(tmp_path, capsys):
     save_tensor(t, path)
     code, _, _ = run_cli(capsys, "decompose", "--input", str(path), "--rank", "4", "--seed", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_invalid_tolerance_is_usage_error(tmp_path, capsys, tol):
+    run_cli(capsys, "fixture", "--name", "example41", "--out", str(tmp_path))
+    code, _, err = run_cli(
+        capsys, "decompose", "--input", str(tmp_path / "example41_tensor.json"), "--rank", "5", "--tol", tol
+    )
+    assert code == 2
+    assert "success_tol" in err
+
+
+def test_non_finite_tensor_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"dims": [1, 1, 2], "data": [[NaN, 0.0], [1.0, 0.0]]}')
+    code, _, err = run_cli(capsys, "decompose", "--input", str(bad), "--rank", "1")
+    assert code == 2
+    assert "finite" in err
+
+
+def test_bench_config_with_zero_tolerance_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [{"dims": [5, 3, 3], "rank": 4, "count": 1}], "success_tol": 0}))
+    code, _, err = run_cli(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert "success_tol" in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,19 @@ def test_rejects_nonpositive_rank(rng):
     obj["rank"] = 0
     with pytest.raises(FormatError):
         factors_from_dict(obj)
+
+
+@pytest.mark.parametrize("entry", [[float("nan"), 0.0], [0.0, float("inf")]], ids=["nan", "inf"])
+def test_rejects_non_finite_entries(tmp_path, entry):
+    obj = {"dims": [1, 1, 2], "data": [entry, [1.0, 0.0]]}
+    with pytest.raises(FormatError):
+        tensor_from_dict(obj)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))  # written as the NaN / Infinity literals
+    with pytest.raises(FormatError):
+        load_tensor(path)
+
+
+def test_rejects_bool_dims():
+    with pytest.raises(FormatError):
+        tensor_from_dict({"dims": [True, 2, 2], "data": [[0.0, 0.0]] * 4})

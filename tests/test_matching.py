@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gpcpd import DimensionMismatchError, FactorTriple
-from gpcpd.matching import (
+
+from matching import (
     correlation_matrix,
     essentially_distinct,
     greedy_assign,

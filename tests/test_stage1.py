@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import gpcpd.stage1 as stage1
 from gpcpd import DomainGuardViolation, SolveOptions, fixture_example41, fixture_example42
-from gpcpd.linalg import complex_normal
+from gpcpd.linalg import RESIDUAL_ZERO_TOL, complex_normal
 from gpcpd.preprocess import ReducedTensor, build_reduced_tensor
 from gpcpd.stage1 import (
     CommonEigRow,
@@ -246,10 +247,9 @@ class TestFindNextRow:
     def test_example41_first_row(self, rng):
         tensor, _ = fixture_example41()
         rt = build_reduced_tensor(tensor, 5, seed=rng)
-        opts = SolveOptions()
-        row = find_next_row(rt, EigRowSet(rows=[], target=5), opts, rng)
+        row = find_next_row(rt, EigRowSet(rows=[], target=5), rng)
         assert row is not None
-        assert row.residual <= opts.tolerances.residual_zero_tol * rt.norm()
+        assert row.residual <= RESIDUAL_ZERO_TOL * rt.norm()
 
     def test_planted_full_sequence(self, rng):
         tensor, _, rt = make_rt(rng, 9, 4, 4, 9)
@@ -263,8 +263,7 @@ class TestFindNextRow:
         # full-rank random data has no common eigenstructure at this rank
         data = rng.standard_normal((5, 3, 3))
         rt = build_reduced_tensor(Tensor3(data), 4, seed=rng)
-        opts = SolveOptions(starts=6)
-        row = find_next_row(rt, EigRowSet(rows=[], target=4), opts, rng)
+        row = find_next_row(rt, EigRowSet(rows=[], target=4), rng)
         assert row is None
 
 
@@ -286,21 +285,20 @@ class TestRunStage1:
         for row in found.rows:
             assert eig_residual(row.s, row.lambdas, rt) <= 1e-8 * scale
 
-    def test_tiny_start_budget_keeps_rows_valid(self, rng):
+    def test_tiny_start_budget_keeps_rows_valid(self, rng, monkeypatch):
+        monkeypatch.setattr(stage1, "STARTS", 1)
         tensor, _ = fixture_example42()
         rt = build_reduced_tensor(tensor, 8, seed=rng)
-        opts = SolveOptions(starts=1)
-        found = run_stage1(rt, opts, rng)
+        found = run_stage1(rt, SolveOptions(), rng)
         assert found.p < 8
         for row in found.rows:
-            assert row.residual <= opts.tolerances.residual_zero_tol * rt.norm()
+            assert row.residual <= RESIDUAL_ZERO_TOL * rt.norm()
 
     def test_deflation_soundness_and_frame_property(self, rng):
         tensor, _, rt = make_rt(rng, 7, 3, 3, 6)
-        opts = SolveOptions()
         found = EigRowSet(rows=[], target=6)
         while found.p < 6:
-            row = find_next_row(rt, found, opts, rng)
+            row = find_next_row(rt, found, rng)
             assert row is not None
             found.rows.append(row)
             stacked = found.stacked()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gpcpd import InconsistentSystemError, SolveOptions, Stage2FailureError, fixture_example41
-from gpcpd.linalg import complex_normal
+from gpcpd.assembly import OFFDIAG_TOL
+from gpcpd.linalg import RESIDUAL_ZERO_TOL, complex_normal
 from gpcpd.lm import finite_difference_check
 from gpcpd.preprocess import build_reduced_tensor
 from gpcpd.stage1 import CommonEigRow, EigRowSet, eig_residual, run_stage1
@@ -138,7 +139,7 @@ class TestPartialEigSystem:
 class TestAssemble:
     def test_full_rowset_fully_determines(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 5), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 5))
         assert sys2.d == 0
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         assert np.linalg.norm(p0 - p_true) <= 1e-8 * np.linalg.norm(p_true)
@@ -146,7 +147,7 @@ class TestAssemble:
 
     def test_affine_set_contains_planted(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0))
         assert sys2.d > 0
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         x_star = sys2.N.conj().T @ (p_true - p0)
@@ -163,13 +164,13 @@ class TestAssemble:
             target=found.target,
         )
         with pytest.raises(InconsistentSystemError):
-            assemble_stage2(rt, poisoned, SolveOptions().tolerances)
+            assemble_stage2(rt, poisoned)
 
     def test_dimension_identities(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 9, 4, 4, 9)
         for p in (0, 2, 5):
             found = planted_rowset(rt, s_rows, lam, p)
-            sys2 = assemble_stage2(rt, found, SolveOptions().tolerances)
+            sys2 = assemble_stage2(rt, found)
             a_hat, _ = dense_system(rt, found)
             d1, d2 = dims_d1_d2(rt)
             assert d1 == 9 * 4 * 3 * 2 // 2
@@ -221,9 +222,8 @@ class TestFactoredMatchesDense:
     def test_same_solution_set(self, rng, n1, n2, n3, p):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, n1, n2, n3, n1)
         found = planted_rowset(rt, s_rows, lam, p)
-        tol = SolveOptions().tolerances
-        sys2 = assemble_stage2(rt, found, tol)
-        p_dense, n_dense = dense_solve(rt, found, tol)
+        sys2 = assemble_stage2(rt, found)
+        p_dense, n_dense = dense_solve(rt, found)
         assert sys2.d == n_dense.shape[1]
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         assert np.linalg.norm(p0 - p_dense) <= 1e-10 * max(np.linalg.norm(p_dense), 1.0)
@@ -239,17 +239,17 @@ class TestFactoredMatchesDense:
         )
         if n3 == 2:
             # no commuting equations: any p <= r eigenrows are satisfiable
-            assemble_stage2(rt, poisoned, tol)
-            dense_solve(rt, poisoned, tol)
+            assemble_stage2(rt, poisoned)
+            dense_solve(rt, poisoned)
             return
         with pytest.raises(InconsistentSystemError):
-            assemble_stage2(rt, poisoned, tol)
+            assemble_stage2(rt, poisoned)
         with pytest.raises(InconsistentSystemError):
-            dense_solve(rt, poisoned, tol)
+            dense_solve(rt, poisoned)
 
     def test_commuting_factor_is_empty_for_two_slices(self, rng):
         _, _, rt, _, _, _, _ = make_planted(rng, 9, 4, 2, 9)
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=9), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=9))
         assert sys2.A_hat.shape == (5, 0)
         assert sys2.d == 9 * 5
 
@@ -259,14 +259,14 @@ class TestLargeShapes:
 
     def test_30x8x8_fully_determined_at_p0(self, rng):
         _, _, rt, _, _, _, p_true = make_planted(rng, 30, 8, 8, 30)
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=30), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=30))
         assert sys2.d == 0
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         assert np.linalg.norm(p0 - p_true) <= 1e-8 * np.linalg.norm(p_true)
 
     def test_20x6x6_affine_set_contains_planted(self, rng):
         _, _, rt, _, _, _, p_true = make_planted(rng, 20, 6, 6, 20)
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=20), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=20))
         assert sys2.d > 0
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         x_star = sys2.N.conj().T @ (p_true - p0)
@@ -276,7 +276,7 @@ class TestLargeShapes:
 class TestEvalG:
     def test_zero_at_planted_coordinates(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0))
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         x_star = sys2.N.conj().T @ (p_true - p0)
         assert np.linalg.norm(eval_g(x_star, sys2, rt)) <= 1e-8 * rt.norm() ** 2
@@ -287,7 +287,7 @@ class TestEvalG:
         data = base.data.copy()
         data[:, :, 2] = data[:, :, 1]
         rt = build_reduced_tensor(Tensor3(data), 5, seed=rng)
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=5), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=5))
         # force P_2 == P_3 by evaluating at a symmetric point: the particular
         # solution already satisfies the symmetric linear system
         x = np.zeros(sys2.d, dtype=complex)
@@ -296,14 +296,14 @@ class TestEvalG:
 
     def test_generic_nonzero(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0))
         assert np.linalg.norm(eval_g(complex_normal(rng, sys2.d), sys2, rt)) > 1e-6
 
 
 class TestJacG:
     def test_finite_difference_agreement(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 1), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 1))
         worst = 0.0
         for _ in range(20):
             x = complex_normal(rng, sys2.d)
@@ -317,13 +317,13 @@ class TestJacG:
 
     def test_empty_when_fully_determined(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 5), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 5))
         j = jac_g(np.zeros(0, dtype=complex), sys2, rt)
         assert j.shape[1] == 0
 
     def test_stationarity_at_planted_zero(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0))
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         x_star = sys2.N.conj().T @ (p_true - p0)
         j = jac_g(x_star, sys2, rt)
@@ -348,7 +348,7 @@ class TestJacG:
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_matches_kron_reference_on_assembled_system(self, rng, p):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 9, 4, 4, 9)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, p), SolveOptions().tolerances)
+        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, p))
         assert sys2.d > 0
         for _ in range(3):
             x = complex_normal(rng, sys2.d)
@@ -366,22 +366,21 @@ def near_planted_endpoint(rng, sys2, p_true, rel_noise):
 class TestHarvestRows:
     def test_near_planted_endpoint_yields_every_row(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 9, 4, 4, 9)
-        opts = SolveOptions()
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=9), opts.tolerances)
+        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=9))
         x = near_planted_endpoint(rng, sys2, p_true, 1e-4)
-        rows = harvest_rows(sys2, rt, EigRowSet(rows=[], target=9), [(1.0, x)], opts, rng)
+        rows = harvest_rows(sys2, rt, EigRowSet(rows=[], target=9), [(1.0, x)], rng)
         assert rows.complete
         truth = s_rows / np.linalg.norm(s_rows, axis=1, keepdims=True)
         # each harvested row is a planted eigenrow up to a unimodular factor
         overlap = np.abs(rows.stacked().conj() @ truth.T)
         assert np.allclose(np.sort(overlap.max(axis=1)), 1.0, atol=1e-8)
-        assert all(row.residual <= opts.tolerances.residual_zero_tol * rt.norm() for row in rows.rows)
+        assert all(row.residual <= RESIDUAL_ZERO_TOL * rt.norm() for row in rows.rows)
 
     def test_no_endpoints_keep_the_row_set(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
         found = planted_rowset(rt, s_rows, lam, 2)
-        sys2 = assemble_stage2(rt, found, SolveOptions().tolerances)
-        rows = harvest_rows(sys2, rt, found, [], SolveOptions(), rng)
+        sys2 = assemble_stage2(rt, found)
+        rows = harvest_rows(sys2, rt, found, [], rng)
         assert rows.p == 2 and rows is not found
 
 
@@ -389,33 +388,28 @@ class TestRunStage2:
     def test_example41_truncated_to_two_rows(self, rng):
         tensor, _ = fixture_example41()
         rt = build_reduced_tensor(tensor, 5, seed=rng)
-        opts = SolveOptions()
-        found = run_stage1(rt, opts, rng).truncated(2)
-        pk = run_stage2(rt, found, opts, rng)
-        tol = opts.tolerances
-        assert pk.commutator_bound() <= tol.offdiag_tol
+        found = run_stage1(rt, SolveOptions(), rng).truncated(2)
+        pk = run_stage2(rt, found, rng)
+        assert pk.commutator_bound() <= OFFDIAG_TOL
         t1 = rt.first_slice_target()
         for idx, m in enumerate(pk.M):
             assert np.linalg.norm(m @ t1 - rt.slice(idx + 2)) <= 1e-9 * max(1.0, np.linalg.norm(m))
 
     def test_planted_from_scratch(self, rng):
         _, _, rt, _, _, _, _ = make_planted(rng, 9, 4, 4, 9)
-        opts = SolveOptions()
-        pk = run_stage2(rt, EigRowSet(rows=[], target=9), opts, rng)
-        assert pk.commutator_bound() <= opts.tolerances.offdiag_tol
+        pk = run_stage2(rt, EigRowSet(rows=[], target=9), rng)
+        assert pk.commutator_bound() <= OFFDIAG_TOL
 
     def test_fully_determined_shortcut(self, rng):
         _, _, rt, s_rows, lam, ms, _ = make_planted(rng, 6, 3, 3, 5)
-        opts = SolveOptions()
-        pk = run_stage2(rt, planted_rowset(rt, s_rows, lam, 5), opts, rng)
+        pk = run_stage2(rt, planted_rowset(rt, s_rows, lam, 5), rng)
         for got, want in zip(pk.M, ms):
             assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
 
     def test_solution_satisfies_combined_system(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 7, 3, 3, 6)
-        opts = SolveOptions()
         found = planted_rowset(rt, s_rows, lam, 2)
-        pk = run_stage2(rt, found, opts, rng)
+        pk = run_stage2(rt, found, rng)
         a_hat, b_hat = dense_system(rt, found)
         p_vec = np.concatenate([vec(p) for p in pk.P])
         gap = np.linalg.norm(a_hat @ p_vec - b_hat)
@@ -429,9 +423,9 @@ class TestEigenrowLevels:
         levels = []
         real = stage2.assemble_stage2
 
-        def recording(rt, found, tol):
+        def recording(rt, found):
             levels.append(found.p)
-            return real(rt, found, tol)
+            return real(rt, found)
 
         monkeypatch.setattr(stage2, "assemble_stage2", recording)
         return levels
@@ -442,9 +436,9 @@ class TestEigenrowLevels:
         bad = found.rows[2]
         found.rows[2] = CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas, residual=bad.residual)
         levels = self.record_levels(monkeypatch)
-        pk = run_stage2(rt, found, SolveOptions(), rng)
+        pk = run_stage2(rt, found, rng)
         assert levels == [3, 2]
-        assert pk.commutator_bound() <= SolveOptions().tolerances.offdiag_tol
+        assert pk.commutator_bound() <= OFFDIAG_TOL
 
     def test_failed_level_is_resolved_with_harvested_rows(self, rng, monkeypatch):
         import gpcpd.stage2 as stage2
@@ -453,16 +447,16 @@ class TestEigenrowLevels:
         levels = self.record_levels(monkeypatch)
         real = stage2._solve_system
 
-        def first_call_fails(sys2, rt_, opts, rng_, deadline, endpoints):
+        def first_call_fails(sys2, rt_, rng_, deadline, endpoints):
             if len(levels) == 1:
                 endpoints.append((1.0, near_planted_endpoint(rng_, sys2, p_true, 1e-4)))
                 return None
-            return real(sys2, rt_, opts, rng_, deadline, endpoints)
+            return real(sys2, rt_, rng_, deadline, endpoints)
 
         monkeypatch.setattr(stage2, "_solve_system", first_call_fails)
-        pk = run_stage2(rt, planted_rowset(rt, s_rows, lam, 2), SolveOptions(), rng)
+        pk = run_stage2(rt, planted_rowset(rt, s_rows, lam, 2), rng)
         assert levels == [2, 5]
-        assert pk.commutator_bound() <= SolveOptions().tolerances.offdiag_tol
+        assert pk.commutator_bound() <= OFFDIAG_TOL
 
     def test_inconsistent_harvest_ends_stage2(self, rng, monkeypatch):
         import gpcpd.stage2 as stage2
@@ -479,7 +473,7 @@ class TestEigenrowLevels:
         monkeypatch.setattr(stage2, "_solve_system", lambda *args: None)
         monkeypatch.setattr(stage2, "harvest_rows", lambda *args: poisoned)
         with pytest.raises(Stage2FailureError):
-            run_stage2(rt, found.truncated(2), SolveOptions(), rng)
+            run_stage2(rt, found.truncated(2), rng)
         assert levels == [2, 3]
 
     def test_unsolved_consistent_level_ends_stage2(self, rng, monkeypatch):
@@ -491,6 +485,6 @@ class TestEigenrowLevels:
         levels = self.record_levels(monkeypatch)
         monkeypatch.setattr(stage2, "_solve_system", lambda *args: None)
         with pytest.raises(Stage2FailureError):
-            run_stage2(rt, planted_rowset(rt, s_rows, lam, 3), SolveOptions(), rng)
+            run_stage2(rt, planted_rowset(rt, s_rows, lam, 3), rng)
         assert levels == [3]
 

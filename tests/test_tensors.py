@@ -10,7 +10,6 @@ from gpcpd import (
     fixture_example41,
     fixture_example42,
     khatri_rao,
-    kronecker,
     mode_k_flatten,
     mode_t_matrix_product,
     relative_error,
@@ -188,21 +187,6 @@ class TestKhatriRao:
     def test_column_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
-
-
-class TestKronecker:
-    def test_identity_blocks(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kronecker(np.eye(2), a)
-        assert np.array_equal(out, np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), a]]))
-
-    def test_column_vectors(self):
-        out = kronecker(np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))
-        assert np.array_equal(out.real, np.array([[3.0], [4.0], [6.0], [8.0]]))
-
-    def test_shape_law(self, rng):
-        out = kronecker(rng.standard_normal((2, 3)), rng.standard_normal((4, 5)))
-        assert out.shape == (8, 15)
 
 
 class TestRelativeError:

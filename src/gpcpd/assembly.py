@@ -59,10 +59,10 @@ _MAX_RETRIES = 5  # attempts after the first; every retry mixes modes 1 and 3
 def recover_U1_lls(u2: np.ndarray, u3: np.ndarray, f: Tensor3) -> tuple[np.ndarray, float]:
     """Solve (U2 kr U3) X = Flatten(f, 1)^T for U1 = X^T; returns (U1, rel residual)."""
     a = khatri_rao(u2, u3)
-    if rank_deficient(a):
-        raise AssemblyError("Khatri-Rao matrix of U2, U3 is column rank deficient")
     b = mode_k_flatten(f, 1).T
-    x, residual = least_squares_min_norm(a, b)
+    x, residual, deficient = least_squares_min_norm(a, b)
+    if deficient:
+        raise AssemblyError("Khatri-Rao matrix of U2, U3 is column rank deficient")
     rel = residual / max(float(np.linalg.norm(b)), 1e-300)
     return x.T, rel
 
@@ -141,9 +141,9 @@ def _factors_from_reduced_eigmatrix(rows: EigRowSet, f: Tensor3, r: int) -> Fact
     sub = Tensor3(f.data[:, :r, :])
     u1, _ = recover_U1_lls(u2_lead, u3, sub)
     a = khatri_rao(u1, u3)  # mode-2 system: Flatten(f, 2)^T = (U1 kr U3) U2^T
-    if rank_deficient(a):
+    x, _, deficient = least_squares_min_norm(a, mode_k_flatten(f, 2).T)
+    if deficient:
         raise AssemblyError("mode-2 Khatri-Rao matrix rank deficient")
-    x, _ = least_squares_min_norm(a, mode_k_flatten(f, 2).T)
     return FactorTriple(u1, x.T, u3, r)
 
 

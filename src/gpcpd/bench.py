@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +28,10 @@ WORKERS_ENV = "GPCPD_BENCH_WORKERS"
 METHODS = ("ts", "als")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BenchInstance:
     rank: int
@@ -41,6 +45,12 @@ class BenchInstance:
         return "x".join(str(n) for n in self.dims)
 
     def validate(self):
+        if not (_is_int(self.rank) and _is_int(self.count)):
+            raise FormatError(f"rank and count must be integers, got {self.rank!r} and {self.count!r}")
+        if self.dims is not None and not (len(self.dims) == 3 and all(_is_int(n) for n in self.dims)):
+            raise FormatError(f"dims must be three integers, got {list(self.dims)!r}")
+        if self.fixture is not None and not isinstance(self.fixture, str):
+            raise FormatError(f"fixture must be a name, got {self.fixture!r}")
         if (self.dims is None) == (self.fixture is None):
             raise FormatError("instance needs exactly one of 'dims' or 'fixture'")
         if self.fixture is not None and self.fixture not in FIXTURES:
@@ -66,6 +76,8 @@ class BenchConfig:
     success_tol: float = SUCCESS_TOL
 
     def validate(self):
+        if not _is_int(self.seed) or self.seed < 0:
+            raise FormatError(f"seed must be a non-negative integer, got {self.seed!r}")
         for inst in self.instances:
             inst.validate()
         for m in self.methods:
@@ -73,8 +85,8 @@ class BenchConfig:
                 raise FormatError(f"unknown method {m!r}; choose from {METHODS}")
         if self.distribution not in DISTRIBUTIONS:
             raise FormatError(f"unknown distribution {self.distribution!r}")
-        if self.workers < 1:
-            raise FormatError("workers must be >= 1")
+        if not _is_int(self.workers) or self.workers < 1:
+            raise FormatError(f"workers must be an integer >= 1, got {self.workers!r}")
         try:  # the solver's own rules for both settings
             SolveOptions(success_tol=self.success_tol, time_limit=self.time_limit)
         except ValueError as exc:
@@ -87,12 +99,16 @@ def load_config(path) -> BenchConfig:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "instances" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("instances"), list):
         raise FormatError("bench config must be an object with an 'instances' list")
+    if not isinstance(obj.get("methods", []), list):
+        raise FormatError(f"methods must be a list, got {obj['methods']!r}")
     instances = []
     for raw in obj["instances"]:
         if not isinstance(raw, dict):
             raise FormatError("each instance must be an object")
+        if "dims" in raw and not isinstance(raw["dims"], list):
+            raise FormatError(f"dims must be a list of three integers, got {raw['dims']!r}")
         instances.append(
             BenchInstance(
                 rank=raw.get("rank", 0),
@@ -107,7 +123,7 @@ def load_config(path) -> BenchConfig:
         methods=tuple(obj.get("methods", list(METHODS))),
         time_limit=obj.get("time_limit"),
         distribution=obj.get("distribution", "normal"),
-        workers=int(obj.get("workers", 1)),
+        workers=obj.get("workers", 1),
         success_tol=obj.get("success_tol", SUCCESS_TOL),
     )
     cfg.validate()
@@ -220,6 +236,8 @@ def run_benchmark(cfg: BenchConfig) -> RunReport:
     tasks = list(_tasks(cfg))
     workers = int(os.environ.get(WORKERS_ENV, cfg.workers))
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_task, tasks))
     else:

@@ -21,7 +21,7 @@ def _pair_to_complex(pair, where: str) -> complex:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(v, (int, float)) for v in pair)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
     ):
         raise FormatError(f"{where}: entries must be [re, im] pairs, got {pair!r}")
     return complex(pair[0], pair[1])
@@ -86,7 +86,7 @@ def factors_from_dict(obj) -> FactorTriple:
     if not isinstance(obj, dict) or "rank" not in obj:
         raise FormatError("factor object must have a 'rank' field")
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise FormatError(f"'rank' must be a positive integer, got {rank!r}")
     mats = {}
     for name in ("U1", "U2", "U3"):

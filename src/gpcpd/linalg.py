@@ -63,13 +63,18 @@ def null_space_basis(a: np.ndarray) -> np.ndarray:
     return vh[rank:, :].conj().T
 
 
-def least_squares_min_norm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares solution of a x = b; returns (x, ||ax - b||_F)."""
+def least_squares_min_norm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Minimum-norm least-squares solution of a x = b.
+
+    Returns (x, ||ax - b||_F, deficient), where ``deficient`` is the
+    ``rank_deficient`` test of a, read from the singular values the solve
+    computes anyway.
+    """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=RANK_REL_TOL)
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_REL_TOL)
     residual = float(np.linalg.norm(a @ x - b))
-    return x, residual
+    return x, residual, rank < min(a.shape)
 
 
 @dataclass(frozen=True)

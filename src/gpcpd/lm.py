@@ -8,12 +8,14 @@ Gauss-Newton step of the real 2d-dimensional embedding at half the size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import ConditioningError, DomainGuardViolation
+from .options import Deadline
 
 
 @dataclass
@@ -21,7 +23,7 @@ class LMOutcome:
     x_final: np.ndarray
     residual_norm: float
     iterations: int
-    converged_reason: str  # "residual_zero" | "small_step" | "max_iters"
+    converged_reason: str  # "residual_zero" | "small_step" | "stationary" | "deadline" | "max_iters"
 
 
 _MAX_ITERS = 200
@@ -31,6 +33,13 @@ _DAMPING_DOWN = 0.1
 _DAMPING_CAP = 1e16
 _STEP_TOL = 1e-12  # relative step size
 _RESIDUAL_TOL = 1e-10  # relative to the caller-supplied scale
+# gradient test of Madsen, Nielsen & Tingleff (2004), section 3.2, made relative:
+# ||J^H r|| <= _GRAD_TOL ||J||_F ||r|| marks a nonzero stationary point
+_GRAD_TOL = 1e-4
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
 
 
 def minimize(
@@ -38,22 +47,27 @@ def minimize(
     jacobian: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     scale: float = 1.0,
+    deadline: Deadline | None = None,
 ) -> LMOutcome:
-    """Minimize ||residual(x)||^2 from x0.
+    """Minimize ||residual(x)||^2 from the complex vector x0.
 
     Accepted iterates have nonincreasing residual norm. Returns when the
-    residual drops below ``_RESIDUAL_TOL * scale``, the accepted step is
-    relatively small, or the iteration cap is hit. A DomainGuardViolation
-    raised by ``residual`` at the initial point propagates to the caller;
-    violations at trial points reject the step. A non-finite residual at the
-    initial point or a non-finite Jacobian raises ConditioningError, which
-    ``decompose`` treats as a failed attempt and retries.
+    residual drops below ``_RESIDUAL_TOL * scale`` ("residual_zero"), the
+    accepted step is relatively small or no damping gives a decrease
+    ("small_step"), the gradient J^H r is negligible against ||J||_F ||r||
+    ("stationary": a minimum that is not a zero), ``deadline`` has passed
+    ("deadline", checked once per iteration) or the iteration cap is hit
+    ("max_iters"). A DomainGuardViolation raised by ``residual`` at the
+    initial point propagates to the caller; violations at trial points reject
+    the step. A non-finite residual at the initial point or a non-finite
+    Jacobian raises ConditioningError, which ``decompose`` treats as a failed
+    attempt and retries.
     """
-    x = np.asarray(x0, dtype=np.complex128).reshape(-1)
-    r = np.asarray(residual(x), dtype=np.complex128).reshape(-1)
-    if not np.all(np.isfinite(r)):
+    x = x0
+    r = residual(x)
+    rnorm = _norm(r)
+    if not math.isfinite(rnorm):
         raise ConditioningError("non-finite residual at the initial point")
-    rnorm = float(np.linalg.norm(r))
     lam = _DAMPING_INIT
     target = _RESIDUAL_TOL * scale
     iterations = 0
@@ -65,43 +79,44 @@ def minimize(
 
     for _ in range(_MAX_ITERS):
         if rnorm <= target:
-            reason = "residual_zero"
+            break
+        if deadline is not None and deadline.exceeded():
+            reason = "deadline"
             break
         iterations += 1
-        j = np.asarray(jacobian(x), dtype=np.complex128)
-        if not np.all(np.isfinite(j)):
+        j = jacobian(x)
+        jnorm2 = np.vdot(j, j).real  # trace(J^H J), read before the product so inf/NaN raise quietly
+        if not math.isfinite(jnorm2):
             raise ConditioningError("non-finite Jacobian")
         jh = j.conj().T
         a = jh @ j
         g = jh @ r
-        accepted = False
+        if _norm(g) <= _GRAD_TOL * math.sqrt(jnorm2) * rnorm:
+            reason = "stationary"
+            break
+        step = None
         while lam <= _DAMPING_CAP:
             try:
-                delta = np.linalg.solve(a + lam * eye, -g)
+                delta = np.linalg.solve(a + lam * eye, g)
             except np.linalg.LinAlgError:
                 lam *= _DAMPING_UP
                 continue
+            x_new = x - delta
             try:
-                r_new = np.asarray(residual(x + delta), dtype=np.complex128).reshape(-1)
+                r_new = residual(x_new)
             except DomainGuardViolation:
                 lam *= _DAMPING_UP
                 continue
-            rnorm_new = float(np.linalg.norm(r_new))
-            if np.isfinite(rnorm_new) and rnorm_new < rnorm:
-                x = x + delta
-                r = r_new
-                rnorm = rnorm_new
+            rnorm_new = _norm(r_new)
+            if rnorm_new < rnorm:  # false for NaN
+                step = _norm(delta)
+                x, r, rnorm = x_new, r_new, rnorm_new
                 lam = max(lam * _DAMPING_DOWN, 1e-14)
-                accepted = True
-                step = float(np.linalg.norm(delta))
-                if step <= _STEP_TOL * (1.0 + float(np.linalg.norm(x))):
-                    reason = "small_step"
                 break
             lam *= _DAMPING_UP
-        if not accepted:
-            reason = "small_step"  # damping exhausted: no decreasing step exists
-            break
-        if reason == "small_step":
+        # damping exhausted (no decreasing step exists) or a negligible step
+        if step is None or step <= _STEP_TOL * (1.0 + _norm(x)):
+            reason = "small_step"
             break
     if rnorm <= target:
         reason = "residual_zero"

@@ -17,7 +17,7 @@ SUCCESS_TOL = 1e-6  # err-rel at or below this counts as a successful decomposit
 
 
 class Deadline:
-    """Cooperative wall-clock budget checked between solver phases."""
+    """Cooperative wall-clock budget checked between solver phases and once per LM iteration."""
 
     def __init__(self, limit: float | None):
         self.limit = limit

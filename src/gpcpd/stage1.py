@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import DomainGuardViolation
 from .linalg import as_rng, complex_normal, qr_full, random_unitary, rank_deficient, residual_is_zero
 from .lm import minimize
-from .options import SolveOptions
+from .options import Deadline, SolveOptions
 from .preprocess import ReducedTensor
 
 STARTS = 12  # LM multi-starts per stage-1 row search and per stage-2 solve
@@ -79,16 +79,39 @@ class EigRowSet:
 class SearchFrame:
     """Unitary frame Q for one row search, with the slices rotated into it.
 
-    tq[a] = sum_i Q[i, a] T[i, :, :], so xbar^T x_1 T = sum_a y_a tq[a] for
-    xbar = Q y.
+    tq[a] = sum_i Q[i, a] T[i, :, :], so W = xbar^T x_1 T = sum_a y_a tq[a]
+    for xbar = Q y, y = [x; 1]. The other fields are the fixed blocks that
+    f_Q and its Jacobian read, laid out once per frame:
+
+    * ``qu`` = Q[:n2, :r-1] and ``qu_last`` = Q[:n2, r-1], so u = qu x + qu_last;
+    * ``dw`` = d vec(W)/dx ((n2 n3) x (r-1), vec column-stacking) and
+      ``w_last`` = vec(tq[r-1]), so vec(W) = dw x + w_last;
+    * ``tq_u`` (n2 x n3 (r-1)), entry (i, k (r-1) + j) = tq[j, i, k], so
+      u @ tq_u holds u^T tq[j] for every j.
     """
 
     Q: np.ndarray
     tq: np.ndarray
+    qu: np.ndarray
+    qu_last: np.ndarray
+    dw: np.ndarray
+    w_last: np.ndarray
+    tq_u: np.ndarray
 
     @classmethod
     def from_q(cls, q: np.ndarray, rt: ReducedTensor) -> "SearchFrame":
-        return cls(Q=q, tq=np.tensordot(q, rt.T.data, axes=([0], [0])))
+        tq = np.tensordot(q, rt.T.data, axes=([0], [0]))  # (r, n2, n3)
+        r, n2, n3 = tq.shape
+        lead = tq[: r - 1]
+        return cls(
+            Q=q,
+            tq=tq,
+            qu=np.ascontiguousarray(q[:n2, : r - 1]),
+            qu_last=q[:n2, r - 1].copy(),
+            dw=lead.transpose(2, 1, 0).reshape(n3 * n2, r - 1),
+            w_last=tq[r - 1].T.reshape(-1),
+            tq_u=lead.transpose(1, 2, 0).reshape(n2, n3 * (r - 1)),
+        )
 
 
 def build_frame(rt: ReducedTensor, found: EigRowSet, rng) -> SearchFrame:
@@ -112,50 +135,44 @@ def build_frame(rt: ReducedTensor, found: EigRowSet, rng) -> SearchFrame:
 
 def _guard(u: np.ndarray) -> complex:
     """Bilinear square u^T u, guarded against the projector's true singularity."""
-    nrm2 = float(np.real(np.vdot(u, u)))
-    s = complex(u @ u)
+    nrm2 = np.vdot(u, u).real
+    s = u @ u
     if nrm2 == 0.0 or abs(s) < _EPS_ISO * nrm2:
         raise DomainGuardViolation("projector axis is numerically isotropic")
     return s
 
 
 def eval_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor) -> np.ndarray:
-    """Projected residual, zero exactly at generalized common eigenvectors."""
-    n2 = rt.slice_cols
-    y = np.concatenate([np.asarray(x, dtype=np.complex128).reshape(-1), [1.0]])
-    xbar = frame.Q @ y
-    u = xbar[:n2]
+    """Projected residual vec(Z W), zero exactly at generalized common eigenvectors."""
+    u = frame.qu @ x + frame.qu_last
     s = _guard(u)
-    w = y @ frame.tq.swapaxes(0, 1)  # (n2, n3) = xbar^T x_1 T
-    zw = w - np.outer(u, (u @ w)) / s
-    return zw.reshape(-1, order="F")
+    wt = (frame.dw @ x + frame.w_last).reshape(-1, u.size)  # W^T, (n3, n2)
+    return (wt - np.outer((wt @ u) / s, u)).reshape(-1)
 
 
 def jac_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor) -> np.ndarray:
     """Analytic Jacobian of ``eval_fQ`` w.r.t. x (holomorphic, no conjugation).
 
-    Column j differentiates along du = Q[:n2, j], dw = tq[j]:
-    d(Z W) = dZ W + Z dW with Z = I - u u^T / s and ds = 2 u^T du; all r - 1
-    columns are formed at once as an (r-1, n2, n3) stack.
+    Column j differentiates along du = qu[:, j], dW = tq[j]: with Z = I - u u^T / s,
+    s = u^T u and ds = 2 u^T du,
+    d(Z W) = dW - du (u^T W) / s - u (du^T W + u^T dW) / s + u (u^T W) ds / s^2
+           = dW - (du - u ds / s) (u^T W) / s - u (du^T W + u^T dW) / s,
+    formed for all r - 1 columns at once as an (n3, n2, r-1) stack.
     """
-    r = rt.rank
-    n2 = rt.slice_cols
-    n3 = rt.n_slices
-    y = np.concatenate([np.asarray(x, dtype=np.complex128).reshape(-1), [1.0]])
-    xbar = frame.Q @ y
-    u = xbar[:n2]
+    qu = frame.qu
+    u = qu @ x + frame.qu_last
     s = _guard(u)
-    w = y @ frame.tq.swapaxes(0, 1)
-    uw = u @ w  # (n3,)
-    du = frame.Q[:n2, : r - 1].T  # (r-1, n2)
-    dw = frame.tq[: r - 1]  # (r-1, n2, n3): d(xbar^T x_1 T)/dx_j
-    ds = 2.0 * (du @ u)  # (r-1,)
-    dzw = (
-        dw
-        - (du[:, :, None] * uw + u[:, None] * (du @ w + u @ dw)[:, None, :]) / s
-        + (ds / s**2)[:, None, None] * np.outer(u, uw)
-    )
-    return dzw.transpose(2, 1, 0).reshape(n2 * n3, r - 1)
+    wt = (frame.dw @ x + frame.w_last).reshape(-1, u.size)  # W^T, (n3, n2)
+    n3, m = wt.shape[0], qu.shape[1]
+    uw = wt @ u  # (n3,) = u^T W
+    ds = 2.0 * (u @ qu)  # (r-1,)
+    du_s = (qu - u[:, None] * (ds / s)) / s  # (n2, r-1): (du - u ds / s) / s
+    cw = (u @ frame.tq_u).reshape(n3, m)
+    cw += wt @ qu
+    cw /= s  # (n3, r-1): (du^T W + u^T dW) / s
+    dzw = np.multiply.outer(uw, du_s)
+    dzw += cw[:, None, :] * u[:, None]
+    return frame.dw - dzw.reshape(-1, m)
 
 
 def extract_eigenvalues(s_row: np.ndarray, rt: ReducedTensor) -> np.ndarray:
@@ -267,7 +284,7 @@ def accept_row(s_row: np.ndarray, found: EigRowSet, rt: ReducedTensor, iters: in
     return CommonEigRow(s=s_row, lambdas=lams, residual=residual)
 
 
-def find_next_row(rt: ReducedTensor, found: EigRowSet, rng) -> CommonEigRow | None:
+def find_next_row(rt: ReducedTensor, found: EigRowSet, rng, deadline: Deadline | None = None) -> CommonEigRow | None:
     """Multi-start LM search for the next eigenvector row; None when all starts fail."""
     rng = as_rng(rng)
     r = rt.rank
@@ -281,6 +298,7 @@ def find_next_row(rt: ReducedTensor, found: EigRowSet, rng) -> CommonEigRow | No
                 lambda x: jac_fQ(x, frame, rt),
                 x0,
                 scale=scale,
+                deadline=deadline,
             )
         except DomainGuardViolation:
             continue
@@ -292,7 +310,7 @@ def find_next_row(rt: ReducedTensor, found: EigRowSet, rng) -> CommonEigRow | No
     return None
 
 
-def run_stage1(rt: ReducedTensor, opts: SolveOptions, rng, deadline=None) -> EigRowSet:
+def run_stage1(rt: ReducedTensor, opts: SolveOptions, rng, deadline: Deadline | None = None) -> EigRowSet:
     """Find rows sequentially until one search fails or all r rows are found."""
     rng = as_rng(rng)
     found = EigRowSet(rows=[], target=rt.rank)
@@ -300,7 +318,7 @@ def run_stage1(rt: ReducedTensor, opts: SolveOptions, rng, deadline=None) -> Eig
     while found.p < max_rows:
         if deadline is not None and deadline.exceeded():
             break
-        row = find_next_row(rt, found, rng)
+        row = find_next_row(rt, found, rng, deadline)
         if row is None:
             break
         found.rows.append(row)

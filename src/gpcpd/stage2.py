@@ -258,6 +258,7 @@ def _solve_system(sys: Stage2System, rt: ReducedTensor, rng, deadline, endpoints
             lambda x: jac_g(x, sys, rt),
             x0,
             scale=scale,
+            deadline=deadline,
         )
         if residual_is_zero(outcome.residual_norm, scale):
             pks = sys.pk_from_x(outcome.x_final)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -143,3 +146,43 @@ def test_config_rejects_bad_solver_settings(tmp_path, setting):
         load_config(path)
     with pytest.raises(FormatError):
         small_config(**setting).validate()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"instances": [{"dims": [5, 3, 3], "rank": 4}], "workers": "two"},
+        {"instances": [{"dims": [5, 3, 3], "rank": 4}], "workers": True},
+        {"instances": [{"dims": [5, 3, 3], "rank": "4"}]},
+        {"instances": [{"dims": [5, 3, 3], "rank": 4, "count": 1.5}]},
+        {"instances": [{"dims": [5, 3], "rank": 4}]},
+        {"instances": [{"dims": 5, "rank": 4}]},
+        {"instances": [{"dims": [5, "3", 3], "rank": 4}]},
+        {"instances": [{"fixture": ["example41"], "rank": 5}]},
+        {"instances": [{"dims": [5, 3, 3], "rank": 4}], "seed": -1},
+        {"instances": [{"dims": [5, 3, 3], "rank": 4}], "seed": "7"},
+        {"instances": [{"dims": [5, 3, 3], "rank": 4}], "methods": 5},
+        {"instances": 5},
+    ],
+    ids=[
+        "workers-string", "workers-bool", "rank-string", "count-float", "dims-two", "dims-scalar",
+        "dims-string-entry", "fixture-list", "seed-negative", "seed-string", "methods-scalar", "instances-scalar",
+    ],
+)
+def test_config_rejects_malformed_fields(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(FormatError):
+        load_config(path)
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded():
+    # the pool is imported where it is used, so importing the package does not load multiprocessing
+    import gpcpd
+
+    src = os.path.dirname(os.path.dirname(gpcpd.__file__))
+    code = "import sys, gpcpd; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

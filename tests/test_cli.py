@@ -133,3 +133,11 @@ def test_bench_config_with_zero_tolerance_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
     assert code == 2
     assert "success_tol" in err
+
+
+def test_bench_config_with_malformed_field_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [{"dims": [5, 3, 3], "rank": 4, "count": 1}], "workers": "two"}))
+    code, _, err = run_cli(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert "workers" in err

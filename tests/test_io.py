@@ -88,3 +88,18 @@ def test_rejects_non_finite_entries(tmp_path, entry):
 def test_rejects_bool_dims():
     with pytest.raises(FormatError):
         tensor_from_dict({"dims": [True, 2, 2], "data": [[0.0, 0.0]] * 4})
+
+
+def test_rejects_bool_rank(rng):
+    f = random_triple(rng, 1, 1, 1, 1)
+    obj = factors_to_dict(f)
+    obj["rank"] = True
+    with pytest.raises(FormatError):
+        factors_from_dict(obj)
+
+
+def test_rejects_bool_entries():
+    with pytest.raises(FormatError):
+        tensor_from_dict({"dims": [1, 1, 1], "data": [[True, False]]})
+    with pytest.raises(FormatError):
+        factors_from_dict({"rank": 1, "U1": [[[True, 0.0]]], "U2": [[[1.0, 0.0]]], "U3": [[[1.0, 0.0]]]})

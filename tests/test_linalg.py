@@ -83,26 +83,44 @@ class TestLeastSquaresMinNorm:
     def test_square_nonsingular(self, rng):
         a = complex_normal(rng, (4, 4)) + 2 * np.eye(4)
         b = complex_normal(rng, (4, 2))
-        x, res = least_squares_min_norm(a, b)
+        x, res, deficient = least_squares_min_norm(a, b)
+        assert not deficient
         assert res <= 1e-12 * np.linalg.norm(b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_plant_and_recover_overdetermined(self, rng):
         a = complex_normal(rng, (8, 3))
         x0 = complex_normal(rng, (3, 2))
-        x, res = least_squares_min_norm(a, a @ x0)
+        x, res, _ = least_squares_min_norm(a, a @ x0)
         assert np.linalg.norm(x - x0) <= 1e-10 * np.linalg.norm(x0)
         assert res <= 1e-10 * np.linalg.norm(a @ x0)
 
     def test_zero_matrix_gives_zero_solution(self):
-        x, res = least_squares_min_norm(np.zeros((3, 2)), np.ones(3))
+        x, res, deficient = least_squares_min_norm(np.zeros((3, 2)), np.ones(3))
+        assert deficient
         assert np.array_equal(x, np.zeros(2))
         assert res == pytest.approx(np.sqrt(3.0))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([1.0, RANK_REL_TOL]),
+            np.diag([1.0, 2.0 * RANK_REL_TOL]),
+            np.zeros((3, 2)),
+            np.ones((4, 3)),
+            np.arange(12.0).reshape(3, 4),
+            np.eye(3)[:, :2],
+        ],
+        ids=["at-cutoff", "above-cutoff", "zero", "rank-one", "wide-rank-two", "tall-full"],
+    )
+    def test_deficient_flag_matches_rank_deficient(self, a):
+        _, _, deficient = least_squares_min_norm(a, np.ones(a.shape[0]))
+        assert deficient == rank_deficient(a)
 
     def test_minimum_norm_among_solutions(self, rng):
         a = complex_normal(rng, (2, 5))
         b = complex_normal(rng, 2)
-        x, _ = least_squares_min_norm(a, b)
+        x, _, _ = least_squares_min_norm(a, b)
         n = null_space_basis(a)
         # any movement along the null space grows the norm
         assert np.linalg.norm(n.conj().T @ x) <= 1e-10 * np.linalg.norm(x)
@@ -164,7 +182,7 @@ def test_null_space_plus_particular_solves_consistent_system(rng):
     a = complex_normal(rng, (3, 6))
     x_true = complex_normal(rng, 6)
     b = a @ x_true
-    x, _ = least_squares_min_norm(a, b)
+    x, _, _ = least_squares_min_norm(a, b)
     n = null_space_basis(a)
     combo = x + n @ complex_normal(rng, n.shape[1])
     assert np.linalg.norm(a @ combo - b) <= 1e-10 * np.linalg.norm(b)

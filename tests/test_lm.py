@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,66 @@ def test_non_finite_values_raise_recoverable_conditioning_error(residual, jacobi
 
     with pytest.raises(ConditioningError, match="non-finite"):
         minimize(residual, jacobian, np.array([1.0 + 0j]))
+
+
+def test_inconsistent_linear_system_stops_stationary(rng):
+    # the least-squares minimum of an overdetermined random system is not a zero
+    a = complex_normal(rng, (8, 3))
+    b = complex_normal(rng, 8)
+    out = minimize(lambda x: a @ x - b, lambda x: a, np.zeros(3, complex), scale=float(np.linalg.norm(b)))
+    assert out.converged_reason == "stationary"
+    assert out.iterations <= 3
+    x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.linalg.norm(out.x_final - x_ls) <= 1e-3 * np.linalg.norm(x_ls)
+
+
+def test_zero_residual_problems_never_stop_stationary(rng):
+    for _ in range(20):
+        a = complex_normal(rng, (6, 4))
+        b = a @ complex_normal(rng, 4)
+        out = minimize(lambda x: a @ x - b, lambda x: a, complex_normal(rng, 4), scale=float(np.linalg.norm(b)))
+        assert out.converged_reason == "residual_zero"
+    out = minimize(
+        lambda x: np.array([x[0] ** 2 - 1.0, x[0] * x[1] - 2.0]),
+        lambda x: np.array([[2.0 * x[0], 0.0], [x[1], x[0]]]),
+        np.array([3.0 + 1j, -1.0 + 0j]),
+    )
+    assert out.converged_reason == "residual_zero"
+
+
+class _Expired:
+    def exceeded(self):
+        return True
+
+
+def test_expired_deadline_returns_after_at_most_one_iteration():
+    calls = []
+
+    def slow_residual(x):
+        calls.append(1)
+        time.sleep(0.05)
+        return np.array([x[0] ** 2 - 2.0])
+
+    out = minimize(slow_residual, lambda x: np.array([[2.0 * x[0]]]), np.array([5.0 + 0j]), deadline=_Expired())
+    assert out.converged_reason == "deadline"
+    assert out.iterations <= 1
+    assert len(calls) <= 2
+
+
+def test_deadline_is_checked_once_per_iteration():
+    class Countdown:
+        def __init__(self, left):
+            self.left = left
+
+        def exceeded(self):
+            self.left -= 1
+            return self.left < 0
+
+    out = minimize(
+        lambda x: np.array([x[0] ** 2 - 2.0]),
+        lambda x: np.array([[2.0 * x[0]]]),
+        np.array([50.0 + 0j]),
+        deadline=Countdown(2),
+    )
+    assert out.converged_reason == "deadline"
+    assert out.iterations == 2

@@ -48,6 +48,15 @@ def jac_fQ_loop(x, frame, rt):
     return cols
 
 
+def eval_fQ_direct(x, frame, rt):
+    """Reference: f_Q from its definition, xbar = Q [x; 1] and W = xbar^T x_1 T."""
+    n2 = rt.slice_cols
+    y = np.concatenate([x, [1.0]])
+    u = (frame.Q @ y)[:n2]
+    w = np.tensordot(y, frame.tq, axes=([0], [0]))
+    return (w - np.outer(u, u @ w) / (u @ u)).reshape(-1, order="F")
+
+
 def jac_eig_loop(s, lam, rt):
     """Reference: the slice-by-slice Jacobian of the raw eigen-equations."""
     t = rt.T.data
@@ -71,6 +80,8 @@ ORACLE_SHAPES = [
     (30, 8, 8, 30, 0),
     (9, 4, 4, 9, 3),
     (5, 3, 2, 4, 0),
+    (7, 4, 2, 6, 2),  # n3 = 2: one slice beside the identity-like first
+    (9, 4, 4, 9, 8),  # p = r - 1: a single free frame column
 ]
 
 
@@ -127,6 +138,29 @@ class TestEvalFQ:
             eval_fQ(x, frame, rt)
 
 
+def oracle_frame(rng, n1, n2, n3, r, p):
+    """Frame of the search for row p + 1 after p planted rows were found."""
+    tensor, triple, rt = make_rt(rng, n1, n2, n3, r)
+    found = EigRowSet(rows=[], target=r)
+    if p:
+        s_rows, lam, _ = planted_generating_data(tensor, triple, rt)
+        for i in range(p):
+            s = s_rows[i, :] / np.linalg.norm(s_rows[i, :])
+            found.rows.append(CommonEigRow(s=s, lambdas=lam[1:, i], residual=0.0))
+    return rt, build_frame(rt, found, rng)
+
+
+@pytest.mark.parametrize("n1, n2, n3, r, p", ORACLE_SHAPES)
+def test_eval_fQ_matches_direct_reference(rng, n1, n2, n3, r, p):
+    rt, frame = oracle_frame(rng, n1, n2, n3, r, p)
+    for _ in range(3):
+        x = complex_normal(rng, r - 1)
+        want = eval_fQ_direct(x, frame, rt)
+        got = eval_fQ(x, frame, rt)
+        assert got.shape == want.shape == (n2 * n3,)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestJacFQ:
     def test_finite_difference_agreement(self, rng):
         _, _, rt = make_rt(rng, 6, 3, 3, 5)
@@ -167,14 +201,7 @@ class TestJacFQ:
 
     @pytest.mark.parametrize("n1, n2, n3, r, p", ORACLE_SHAPES)
     def test_matches_loop_reference(self, rng, n1, n2, n3, r, p):
-        tensor, triple, rt = make_rt(rng, n1, n2, n3, r)
-        found = EigRowSet(rows=[], target=r)
-        if p:
-            s_rows, lam, _ = planted_generating_data(tensor, triple, rt)
-            for i in range(p):
-                s = s_rows[i, :] / np.linalg.norm(s_rows[i, :])
-                found.rows.append(CommonEigRow(s=s, lambdas=lam[1:, i], residual=0.0))
-        frame = build_frame(rt, found, rng)
+        rt, frame = oracle_frame(rng, n1, n2, n3, r, p)
         for _ in range(3):
             x = complex_normal(rng, r - 1)
             want = jac_fQ_loop(x, frame, rt)

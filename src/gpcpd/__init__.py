@@ -4,7 +4,7 @@ generating matrices: a sequential generalized-eigenvector search, then a
 null-space-parametrized commutation solve when the search stalls.
 """
 
-from .als import AlsOptions, als_decompose
+from .als import als_decompose
 from .assembly import (
     decompose,
     decomposition_from_eigmatrix,
@@ -39,7 +39,7 @@ from .preprocess import (
     random_mode_mixing,
 )
 from .stage1 import CommonEigRow, EigRowSet, run_stage1
-from .stage2 import PkSet, Stage2System, run_stage2
+from .stage2 import Stage2System, run_stage2
 from .tensors import (
     DecompReport,
     FactorTriple,

@@ -7,8 +7,6 @@ regularization: a deliberately plain baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import DecompositionError
@@ -16,50 +14,41 @@ from .linalg import as_rng
 from .tensors import FactorTriple, Tensor3, khatri_rao, mode_k_flatten
 
 _MAX_RESTARTS = 3
+_MAX_SWEEPS = 500
+_REL_CHANGE_TOL = 1e-10  # stop once a sweep lowers err-rel by at most this, relative
 
 
-@dataclass
-class AlsOptions:
-    max_sweeps: int = 500
-    rel_change_tol: float = 1e-10
-    seed: int | None = None
-    init_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.max_sweeps < 1 or self.rel_change_tol <= 0 or self.init_scale <= 0:
-            raise ValueError("AlsOptions fields must be positive")
-
-
-def _init_factors(dims, r, real_input, scale, rng):
+def _init_factors(dims, r, real_input, rng):
     mats = []
     for n in dims:
-        m = rng.standard_normal((n, r)) * scale
+        m = rng.standard_normal((n, r))
         if not real_input:
-            m = m + 1j * rng.standard_normal((n, r)) * scale
+            m = m + 1j * rng.standard_normal((n, r))
         mats.append(m.astype(np.complex128))
     return mats
 
 
-def als_decompose(f: Tensor3, r: int, opts: AlsOptions | None = None) -> tuple[FactorTriple, np.ndarray]:
+def als_decompose(f: Tensor3, r: int, seed=None) -> tuple[FactorTriple, np.ndarray]:
     """Run ALS from a random init; returns (factors, per-sweep err-rel trace).
 
-    A rank-deficient Khatri-Rao system mid-sweep triggers a fresh restart
+    ``seed`` (an int, a Generator or None) draws the initial factors. A run
+    stops after 500 sweeps or once a sweep lowers err-rel by at most 1e-10 of
+    itself. A rank-deficient Khatri-Rao system mid-sweep triggers a fresh restart
     (at most 3); the trace covers the returned run only.
     """
-    opts = opts or AlsOptions()
     if r < 1:
         raise DecompositionError("rank must be >= 1")
-    rng = as_rng(opts.seed)
+    rng = as_rng(seed)
     flats = [mode_k_flatten(f, k).T for k in (1, 2, 3)]
     fnorm = f.norm()
     real_input = f.is_real()
 
     for _ in range(_MAX_RESTARTS + 1):
-        u1, u2, u3 = _init_factors(f.dims, r, real_input, opts.init_scale, rng)
+        u1, u2, u3 = _init_factors(f.dims, r, real_input, rng)
         trace = []
         deficient = False
         prev = None
-        for _ in range(opts.max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             for mode in (1, 2, 3):
                 if mode == 1:
                     a, target = khatri_rao(u2, u3), flats[0]
@@ -81,7 +70,7 @@ def als_decompose(f: Tensor3, r: int, opts: AlsOptions | None = None) -> tuple[F
                 break
             err = float(np.linalg.norm(flats[0] - khatri_rao(u2, u3) @ u1.T)) / fnorm
             trace.append(err)
-            if prev is not None and prev - err <= opts.rel_change_tol * max(err, 1e-300):
+            if prev is not None and prev - err <= _REL_CHANGE_TOL * max(err, 1e-300):
                 break
             prev = err
         if not deficient:

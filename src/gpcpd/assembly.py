@@ -33,14 +33,14 @@ from .exceptions import (
     UnsupportedRankError,
 )
 from .linalg import as_rng, complex_normal, least_squares_min_norm, left_eigendecomposition, rank_deficient
-from .options import Deadline, SolveOptions
+from .options import Deadline, SolveOptions, is_int
 from .preprocess import (
     ReducedTensor,
     build_reduced_tensor,
     build_reduced_tensor_lowrank,
     random_mode_mixing,
 )
-from .stage1 import CommonEigRow, EigRowSet, eig_residual, run_stage1
+from .stage1 import CommonEigRow, EigRowSet, run_stage1
 from .stage2 import run_stage2
 from .tensors import (
     DecompReport,
@@ -86,14 +86,17 @@ def eigmatrix_from_pkset(ms: list, rt: ReducedTensor, rng=None) -> EigRowSet:
 
     Tries M_2 first, then random complex combinations of all M_k (tie-broken
     eigenvalues), validating that every S M_k S^{-1} is diagonal to OFFDIAG_TOL.
+    A lone M_2 (n3 = 2) is tried once: its combinations are multiples of it,
+    with the same eigenvectors.
     """
     rng = as_rng(rng)
     r = rt.rank
     n3 = rt.n_slices
     candidates = [ms[0]]
-    for _ in range(_EIG_COMBO_TRIES - 1):
-        alpha = complex_normal(rng, len(ms))
-        candidates.append(sum(a * m for a, m in zip(alpha, ms)))
+    if len(ms) > 1:
+        for _ in range(_EIG_COMBO_TRIES - 1):
+            alpha = complex_normal(rng, len(ms))
+            candidates.append(sum(a * m for a, m in zip(alpha, ms)))
     last_error = "no candidate eigenbasis tried"
     for source in candidates:
         eig = left_eigendecomposition(source)
@@ -119,15 +122,7 @@ def eigmatrix_from_pkset(ms: list, rt: ReducedTensor, rng=None) -> EigRowSet:
             lambdas[:, idx] = np.diagonal(e)
         if not ok:
             continue
-        rows = [
-            CommonEigRow(
-                s=s[i, :],
-                lambdas=lambdas[i, :],
-                residual=eig_residual(s[i, :], lambdas[i, :], rt),
-            )
-            for i in range(r)
-        ]
-        return EigRowSet(rows=rows, target=r)
+        return EigRowSet(rows=[CommonEigRow(s=s[i, :], lambdas=lambdas[i, :]) for i in range(r)], target=r)
     raise AssemblyError(f"simultaneous diagonalization failed: {last_error}")
 
 
@@ -158,11 +153,7 @@ def gevd_lowrank_decompose(f: Tensor3, r: int, rng=None) -> FactorTriple:
     else:  # single slice: T_1 = I_r, any basis diagonalizes it
         rows = EigRowSet(
             rows=[
-                CommonEigRow(
-                    s=np.eye(r, dtype=np.complex128)[i],
-                    lambdas=np.zeros(0, dtype=np.complex128),
-                    residual=0.0,
-                )
+                CommonEigRow(s=np.eye(r, dtype=np.complex128)[i], lambdas=np.zeros(0, dtype=np.complex128))
                 for i in range(r)
             ],
             target=r,
@@ -175,8 +166,8 @@ def _middle_rank_attempt(f: Tensor3, r: int, opts: SolveOptions, rng, deadline) 
     found = run_stage1(rt, opts, rng, deadline)
     if found.complete:
         return decomposition_from_eigmatrix(found, f, rt), "stage1"
-    pk = run_stage2(rt, found, rng, deadline)
-    rows = eigmatrix_from_pkset(pk.M, rt, rng)
+    ms = run_stage2(rt, found, rng, deadline)
+    rows = eigmatrix_from_pkset(ms, rt, rng)
     return decomposition_from_eigmatrix(rows, f, rt), "stage2"
 
 
@@ -203,8 +194,8 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
     start = time.perf_counter()
     deadline = Deadline(opts.time_limit)
     dims = f.dims
-    if not (1 <= r <= max(dims)):
-        raise UnsupportedRankError(f"rank {r} unsupported for dims {dims}: need 1 <= r <= {max(dims)}")
+    if not (is_int(r) and 1 <= r <= max(dims)):
+        raise UnsupportedRankError(f"rank {r!r} unsupported for dims {dims}: need an integer 1 <= r <= {max(dims)}")
     order = tuple(np.argsort([-d for d in dims], kind="stable"))
     work0 = f.permute_modes(order)
     # unit RMS entry scale keeps the Gaussian augmentation block commensurate
@@ -225,7 +216,7 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
         rng = np.random.default_rng(master.spawn(1)[0])
         mix = attempt > 0
         if mix:
-            work, w1, v3 = random_mode_mixing(work0, modes=(1, 3), seed=rng)
+            work, w1, v3 = random_mode_mixing(work0, seed=rng)
         else:
             work, w1, v3 = work0, None, None
         try:

@@ -10,26 +10,19 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .als import AlsOptions, als_decompose
+from .als import als_decompose
 from .assembly import decompose
 from .exceptions import FormatError, GpcpdError
 from .fixtures import DISTRIBUTIONS, FIXTURES, gen_random_rank_r
-from .options import SUCCESS_TOL, SolveOptions
+from .options import SUCCESS_TOL, SolveOptions, is_int
 from .tensors import relative_error
 
-WORKERS_ENV = "GPCPD_BENCH_WORKERS"
 METHODS = ("ts", "als")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -45,9 +38,9 @@ class BenchInstance:
         return "x".join(str(n) for n in self.dims)
 
     def validate(self):
-        if not (_is_int(self.rank) and _is_int(self.count)):
+        if not (is_int(self.rank) and is_int(self.count)):
             raise FormatError(f"rank and count must be integers, got {self.rank!r} and {self.count!r}")
-        if self.dims is not None and not (len(self.dims) == 3 and all(_is_int(n) for n in self.dims)):
+        if self.dims is not None and not (len(self.dims) == 3 and all(is_int(n) for n in self.dims)):
             raise FormatError(f"dims must be three integers, got {list(self.dims)!r}")
         if self.fixture is not None and not isinstance(self.fixture, str):
             raise FormatError(f"fixture must be a name, got {self.fixture!r}")
@@ -76,7 +69,7 @@ class BenchConfig:
     success_tol: float = SUCCESS_TOL
 
     def validate(self):
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise FormatError(f"seed must be a non-negative integer, got {self.seed!r}")
         for inst in self.instances:
             inst.validate()
@@ -85,7 +78,7 @@ class BenchConfig:
                 raise FormatError(f"unknown method {m!r}; choose from {METHODS}")
         if self.distribution not in DISTRIBUTIONS:
             raise FormatError(f"unknown distribution {self.distribution!r}")
-        if not _is_int(self.workers) or self.workers < 1:
+        if not is_int(self.workers) or self.workers < 1:
             raise FormatError(f"workers must be an integer >= 1, got {self.workers!r}")
         try:  # the solver's own rules for both settings
             SolveOptions(success_tol=self.success_tol, time_limit=self.time_limit)
@@ -161,7 +154,7 @@ def _run_task(task: dict) -> dict:
             record["stage"] = report.stage_used
             record["retries"] = report.retries
         else:
-            factors, _ = als_decompose(tensor, inst.rank, AlsOptions(seed=task["solver_seed"]))
+            factors, _ = als_decompose(tensor, inst.rank, task["solver_seed"])
             err = relative_error(tensor, factors)
     except GpcpdError as exc:
         record["error_detail"] = str(exc)
@@ -234,11 +227,10 @@ def _aggregate(runs: list) -> list:
 def run_benchmark(cfg: BenchConfig) -> RunReport:
     cfg.validate()
     tasks = list(_tasks(cfg))
-    workers = int(os.environ.get(WORKERS_ENV, cfg.workers))
-    if workers > 1 and len(tasks) > 1:
+    if cfg.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             runs = list(pool.map(_run_task, tasks))
     else:
         runs = [_run_task(t) for t in tasks]

@@ -104,18 +104,19 @@ def _cmd_bench(args) -> int:
 
 
 _JACOBIAN_PROFILES = [(5, 3, 3, 5), (6, 4, 3, 5), (7, 3, 3, 6), (9, 4, 4, 9), (8, 4, 3, 7)]
+_JACOBIAN_POINTS = 20  # random points per residual and instance
 
 
-def check_jacobians(seed: int = 0, points: int = 20, profiles=_JACOBIAN_PROFILES):
+def check_jacobians(seed: int = 0):
     """Finite-difference sweep over random instances; returns the two maxima."""
     rng = as_rng(seed)
     worst_fq = 0.0
     worst_g = 0.0
-    for n1, n2, n3, r in profiles:
+    for n1, n2, n3, r in _JACOBIAN_PROFILES:
         tensor, _ = gen_random_rank_r(n1, n2, n3, r, seed=rng)
         rt = build_reduced_tensor(tensor, r, seed=rng)
         frame = build_frame(rt, EigRowSet(rows=[], target=r), rng)
-        for _ in range(points):
+        for _ in range(_JACOBIAN_POINTS):
             x = (rng.standard_normal(r - 1) + 1j * rng.standard_normal(r - 1)) / np.sqrt(2)
             worst_fq = max(
                 worst_fq,
@@ -124,7 +125,7 @@ def check_jacobians(seed: int = 0, points: int = 20, profiles=_JACOBIAN_PROFILES
                 ),
             )
         sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=r))
-        for _ in range(points):
+        for _ in range(_JACOBIAN_POINTS):
             x = (rng.standard_normal(sys2.d) + 1j * rng.standard_normal(sys2.d)) / np.sqrt(2)
             worst_g = max(
                 worst_g,

@@ -47,7 +47,7 @@ def minimize(
     jacobian: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     scale: float = 1.0,
-    deadline: Deadline | None = None,
+    deadline: Deadline = Deadline(None),
 ) -> LMOutcome:
     """Minimize ||residual(x)||^2 from the complex vector x0.
 
@@ -80,7 +80,7 @@ def minimize(
     for _ in range(_MAX_ITERS):
         if rnorm <= target:
             break
-        if deadline is not None and deadline.exceeded():
+        if deadline.exceeded():
             reason = "deadline"
             break
         iterations += 1
@@ -127,11 +127,11 @@ def finite_difference_check(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    h: float | None = None,
 ) -> float:
     """Max relative column discrepancy between analytic and central differences.
 
-    Each coordinate is perturbed by +-h along the real and imaginary axes;
+    Coordinate i is perturbed by +-h, h = 1e-6 (1 + |x_i|), along the real and
+    imaginary axes;
     for a holomorphic residual both quotients approximate the same complex
     derivative.
     """
@@ -140,8 +140,8 @@ def finite_difference_check(
     jnorm = float(np.linalg.norm(j))
     worst = 0.0
     for i in range(x.size):
-        hi = 1e-6 * (1.0 + abs(x[i])) if h is None else h
-        for direction in (hi, 1j * hi):
+        h = 1e-6 * (1.0 + abs(x[i]))
+        for direction in (h, 1j * h):
             xp = x.copy()
             xm = x.copy()
             xp[i] += direction

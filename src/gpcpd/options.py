@@ -17,7 +17,10 @@ SUCCESS_TOL = 1e-6  # err-rel at or below this counts as a successful decomposit
 
 
 class Deadline:
-    """Cooperative wall-clock budget checked between solver phases and once per LM iteration."""
+    """Cooperative wall-clock budget checked between solver phases and once per LM iteration.
+
+    ``Deadline(None)`` never expires; it is the default wherever a deadline is optional.
+    """
 
     def __init__(self, limit: float | None):
         self.limit = limit
@@ -25,6 +28,15 @@ class Deadline:
 
     def exceeded(self) -> bool:
         return self.limit is not None and time.perf_counter() - self.start > self.limit
+
+
+def is_int(value) -> bool:
+    """An integer of any kind (Python or numpy), but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _none_or_count(value) -> bool:
+    return value is None or (is_int(value) and value >= 0)
 
 
 def _positive_finite(value) -> bool:
@@ -48,5 +60,7 @@ class SolveOptions:
             raise ValueError(f"success_tol must be a positive finite number, got {self.success_tol!r}")
         if self.time_limit is not None and not _positive_finite(self.time_limit):
             raise ValueError(f"time_limit must be None or a positive finite number, got {self.time_limit!r}")
-        if self.stage1_max_rows is not None and self.stage1_max_rows < 0:
-            raise ValueError(f"stage1_max_rows must be None or >= 0, got {self.stage1_max_rows!r}")
+        if not _none_or_count(self.seed):
+            raise ValueError(f"seed must be None or an integer >= 0, got {self.seed!r}")
+        if not _none_or_count(self.stage1_max_rows):
+            raise ValueError(f"stage1_max_rows must be None or an integer >= 0, got {self.stage1_max_rows!r}")

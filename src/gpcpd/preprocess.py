@@ -35,7 +35,6 @@ class ReducedTensor:
     T: Tensor3
     P: np.ndarray
     C: np.ndarray
-    source_dims: tuple[int, int, int]
     rank: int
     cond_fhat: float
 
@@ -53,9 +52,6 @@ class ReducedTensor:
 
     def norm(self) -> float:
         return self.T.norm()
-
-    def first_slice_target(self) -> np.ndarray:
-        return np.eye(self.rank, dtype=np.complex128)[:, : self.slice_cols]
 
 
 def build_reduced_tensor(f: Tensor3, r: int, seed=None) -> ReducedTensor:
@@ -81,7 +77,7 @@ def build_reduced_tensor(f: Tensor3, r: int, seed=None) -> ReducedTensor:
         raise ConditioningError(f"augmented first slice stayed ill-conditioned (cond ~ {cond:.2e})")
     p = np.linalg.inv(fhat)
     t = mode_t_matrix_product(p, Tensor3(f.data[:r, :, :]), mode=1)
-    return ReducedTensor(T=t, P=p, C=c, source_dims=f.dims, rank=r, cond_fhat=float(cond))
+    return ReducedTensor(T=t, P=p, C=c, rank=r, cond_fhat=float(cond))
 
 
 def build_reduced_tensor_lowrank(f: Tensor3, r: int) -> ReducedTensor:
@@ -98,25 +94,21 @@ def build_reduced_tensor_lowrank(f: Tensor3, r: int) -> ReducedTensor:
         T=t,
         P=p,
         C=np.zeros((r, 0), dtype=np.complex128),
-        source_dims=f.dims,
         rank=r,
         cond_fhat=float(condition_estimate(lead)),
     )
 
 
-def random_mode_mixing(f: Tensor3, modes=(1, 3), seed=None):
-    """Mix modes 1 and/or 3 by random unitaries to restore genericity.
+def random_mode_mixing(f: Tensor3, seed=None):
+    """Mix modes 1 and 3 by random unitaries to restore genericity.
 
     Returns (g, W1, V3) with g = W1 x_1 (V3 x_3 f). Factors of g map back to
     factors of f via U1 = W1^{-1} U1', U3 = V3^{-1} U3' (here W1, V3 unitary,
     so the inverses are conjugate transposes).
     """
-    modes = set(modes)
-    if not modes <= {1, 3}:
-        raise DimensionMismatchError(f"mixing supports modes 1 and 3 only, got {sorted(modes)}")
     rng = as_rng(seed)
     n1, _, n3 = f.dims
-    w1 = random_unitary(n1, rng) if 1 in modes else np.eye(n1, dtype=np.complex128)
-    v3 = random_unitary(n3, rng) if 3 in modes else np.eye(n3, dtype=np.complex128)
+    w1 = random_unitary(n1, rng)
+    v3 = random_unitary(n3, rng)
     g = mode_t_matrix_product(w1, mode_t_matrix_product(v3, f, mode=3), mode=1)
     return g, w1, v3

@@ -35,13 +35,11 @@ class CommonEigRow:
     """One accepted eigenvector row (unit norm) with its eigenvalues for k >= 2.
 
     lambda_{.,1} = 1 implicitly: the first reduced slice is (I_r)[:, :n2], so
-    T_1^T s = s[:n2] for every s. ``residual`` is the worst eigen-equation
-    residual over the slices, relative to nothing (absolute, rows unit norm).
+    T_1^T s = s[:n2] for every s.
     """
 
     s: np.ndarray
     lambdas: np.ndarray  # shape (n3 - 1,), entries for k = 2 .. n3
-    residual: float
 
 
 @dataclass
@@ -115,16 +113,14 @@ class SearchFrame:
 
 
 def build_frame(rt: ReducedTensor, found: EigRowSet, rng) -> SearchFrame:
-    """Frame for searching row p+1: random unitary at p=0, deflating QR after.
+    """Frame for searching row p+1 from the deflating QR of the found rows.
 
-    For p >= 1 the first p columns of Q span the found rows; the trailing
-    r - p columns are re-randomized by a unitary acting on the orthogonal
-    complement.
+    The first p columns of Q span the found rows; the trailing r - p columns
+    are re-randomized by a unitary acting on the orthogonal complement. At
+    p = 0 the QR of the empty r x 0 stack is I_r, so Q is a random unitary.
     """
     r = rt.rank
     rng = as_rng(rng)
-    if found.p == 0:
-        return SearchFrame.from_q(random_unitary(r, rng), rt)
     q, _ = qr_full(found.stacked().T)
     p = found.p
     if r - p > 0:
@@ -281,10 +277,10 @@ def accept_row(s_row: np.ndarray, found: EigRowSet, rt: ReducedTensor, iters: in
         return None
     if rank_deficient(np.vstack([found.stacked(), s_row])):
         return None  # numerically dependent on the found rows
-    return CommonEigRow(s=s_row, lambdas=lams, residual=residual)
+    return CommonEigRow(s=s_row, lambdas=lams)
 
 
-def find_next_row(rt: ReducedTensor, found: EigRowSet, rng, deadline: Deadline | None = None) -> CommonEigRow | None:
+def find_next_row(rt: ReducedTensor, found: EigRowSet, rng, deadline: Deadline = Deadline(None)) -> CommonEigRow | None:
     """Multi-start LM search for the next eigenvector row; None when all starts fail."""
     rng = as_rng(rng)
     r = rt.rank
@@ -310,13 +306,13 @@ def find_next_row(rt: ReducedTensor, found: EigRowSet, rng, deadline: Deadline |
     return None
 
 
-def run_stage1(rt: ReducedTensor, opts: SolveOptions, rng, deadline: Deadline | None = None) -> EigRowSet:
+def run_stage1(rt: ReducedTensor, opts: SolveOptions, rng, deadline: Deadline = Deadline(None)) -> EigRowSet:
     """Find rows sequentially until one search fails or all r rows are found."""
     rng = as_rng(rng)
     found = EigRowSet(rows=[], target=rt.rank)
     max_rows = rt.rank if opts.stage1_max_rows is None else min(opts.stage1_max_rows, rt.rank)
     while found.p < max_rows:
-        if deadline is not None and deadline.exceeded():
+        if deadline.exceeded():
             break
         row = find_next_row(rt, found, rng, deadline)
         if row is None:

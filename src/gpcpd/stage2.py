@@ -30,6 +30,7 @@ from .linalg import RANK_REL_TOL, as_rng, complex_normal, residual_is_zero
 # no longer called here; perfbench/tracer.py looks these names up in this module
 from .linalg import least_squares_min_norm, null_space_basis  # noqa: F401
 from .lm import minimize
+from .options import Deadline
 from .preprocess import ReducedTensor
 from .stage1 import STARTS, EigRowSet, accept_row
 from .tensors import unvec, vec
@@ -68,24 +69,6 @@ class Stage2System:
             unvec(vec(p0) + nk @ x, (r, r - n2))
             for p0, nk in zip(self.P0, self.N_blocks)
         ]
-
-
-@dataclass(frozen=True)
-class PkSet:
-    """Solved tails P_k and the resulting generating matrices M_k = [T_k P_k]."""
-
-    P: list  # k = 2 .. n3
-    M: list  # k = 2 .. n3, each r x r
-
-    def commutator_bound(self) -> float:
-        """Worst pairwise ||M_i M_j - M_j M_i|| / (||M_i|| ||M_j||)."""
-        worst = 0.0
-        for a in range(len(self.M)):
-            for b in range(a + 1, len(self.M)):
-                mi, mj = self.M[a], self.M[b]
-                denom = max(np.linalg.norm(mi) * np.linalg.norm(mj), 1e-300)
-                worst = max(worst, float(np.linalg.norm(mi @ mj - mj @ mi)) / denom)
-        return worst
 
 
 def commuting_factor(rt: ReducedTensor) -> tuple[np.ndarray, np.ndarray]:
@@ -240,17 +223,19 @@ def _start_scales(sys: Stage2System, count: int) -> list:
     return ladder[:count]
 
 
-def _solve_system(sys: Stage2System, rt: ReducedTensor, rng, deadline, endpoints: list) -> PkSet | None:
-    """Multi-start LM on g; failed starts' (residual, x) go to ``endpoints``."""
+def _solve_system(sys: Stage2System, rt: ReducedTensor, rng, deadline: Deadline, endpoints: list) -> list | None:
+    """Multi-start LM on g; the M_k of a zero, or None.
+
+    Failed starts' (residual, x) go to ``endpoints``.
+    """
     scale = rt.norm() ** 2
     if sys.d == 0:
         g0 = eval_g(np.zeros(0, dtype=np.complex128), sys, rt)
         if g0.size and not residual_is_zero(float(np.linalg.norm(g0)), scale):
             return None
-        pks = sys.pk_from_x(np.zeros(0, dtype=np.complex128))
-        return PkSet(P=pks, M=_m_matrices(rt, pks))
+        return _m_matrices(rt, sys.pk_from_x(np.zeros(0, dtype=np.complex128)))
     for start_scale in _start_scales(sys, STARTS):
-        if deadline is not None and deadline.exceeded():
+        if deadline.exceeded():
             return None
         x0 = start_scale * complex_normal(rng, sys.d)
         outcome = minimize(
@@ -261,8 +246,7 @@ def _solve_system(sys: Stage2System, rt: ReducedTensor, rng, deadline, endpoints
             deadline=deadline,
         )
         if residual_is_zero(outcome.residual_norm, scale):
-            pks = sys.pk_from_x(outcome.x_final)
-            return PkSet(P=pks, M=_m_matrices(rt, pks))
+            return _m_matrices(rt, sys.pk_from_x(outcome.x_final))
         endpoints.append((outcome.residual_norm, outcome.x_final))
     return None
 
@@ -297,8 +281,10 @@ _LIFO_LEVELS = 4  # eigenrow counts tried: p, p-1, ..., then straight to 0
 _HARVEST_REFINE_ITERS = 10
 
 
-def run_stage2(rt: ReducedTensor, found: EigRowSet, rng, deadline=None) -> PkSet:
+def run_stage2(rt: ReducedTensor, found: EigRowSet, rng, deadline: Deadline = Deadline(None)) -> list:
     """Assemble and solve for the P_k, dropping eigenrows last-in-first-out.
+
+    Returns the generating matrices M_k = [T_k P_k], k = 2 .. n3.
 
     A drop happens when the combined system is inconsistent at assembly: a
     slightly wrong stage-1 row should not doom the solve, and p = 0 is always
@@ -317,7 +303,7 @@ def run_stage2(rt: ReducedTensor, found: EigRowSet, rng, deadline=None) -> PkSet
         levels.append(0)
     sys = None
     for level in levels:
-        if deadline is not None and deadline.exceeded():
+        if deadline.exceeded():
             break
         working = found.truncated(level)
         try:

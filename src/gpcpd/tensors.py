@@ -53,8 +53,8 @@ class Tensor3:
         """Reorder modes; ``perm[i]`` is the source mode of new mode i (0-based)."""
         return Tensor3(np.transpose(self.data, perm))
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return float(np.max(np.abs(self.data.imag), initial=0.0)) <= tol
+    def is_real(self) -> bool:
+        return not np.any(self.data.imag)
 
     def __eq__(self, other):
         return isinstance(other, Tensor3) and self.dims == other.dims and np.array_equal(

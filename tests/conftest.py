@@ -37,3 +37,14 @@ def planted_generating_data(tensor, triple, rt):
     uinv = np.linalg.inv(uhat1)
     ms = [uhat1 @ np.diag(lam[k]) @ uinv for k in range(1, tensor.dims[2])]
     return uinv, lam, ms
+
+
+def commutator_bound(ms):
+    """Worst pairwise ||M_i M_j - M_j M_i|| / (||M_i|| ||M_j||) over generating matrices."""
+    worst = 0.0
+    for a in range(len(ms)):
+        for b in range(a + 1, len(ms)):
+            mi, mj = ms[a], ms[b]
+            denom = max(np.linalg.norm(mi) * np.linalg.norm(mj), 1e-300)
+            worst = max(worst, float(np.linalg.norm(mi @ mj - mj @ mi)) / denom)
+    return worst

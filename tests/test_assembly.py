@@ -19,9 +19,10 @@ from gpcpd.assembly import (
     gevd_lowrank_decompose,
     recover_U1_lls,
 )
-from gpcpd.linalg import complex_normal
-from gpcpd.preprocess import build_reduced_tensor
+from gpcpd.linalg import complex_normal, random_unitary
+from gpcpd.preprocess import build_reduced_tensor, build_reduced_tensor_lowrank
 from gpcpd.stage1 import run_stage1
+from gpcpd.tensors import mode_t_matrix_product
 
 from conftest import planted_generating_data, planted_instance, random_triple
 from matching import match_factor_triples, triples_equivalent
@@ -98,6 +99,25 @@ class TestEigmatrixFromPkset:
         with pytest.raises(AssemblyError):
             eigmatrix_from_pkset(ms, rt, rng)
 
+    def test_lone_matrix_gets_one_eigenbasis(self, rng, monkeypatch):
+        # n3 = 2: every combination of the one M_2 is a multiple with its eigenvectors
+        import gpcpd.assembly as assembly
+
+        tensor, _ = planted_instance(rng, 3, 2, 2, 2)
+        rt = build_reduced_tensor_lowrank(tensor, 2)
+        calls = []
+        real = assembly.left_eigendecomposition
+
+        def counting(m):
+            calls.append(None)
+            return real(m)
+
+        monkeypatch.setattr(assembly, "left_eigendecomposition", counting)
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(AssemblyError):
+            eigmatrix_from_pkset([jordan], rt, rng)
+        assert len(calls) == 1
+
 
 class TestGevdLowrank:
     def test_planted_rank3(self, rng):
@@ -131,6 +151,15 @@ class TestDecompose:
             decompose(tensor, 6, SolveOptions(seed=0))
         with pytest.raises(UnsupportedRankError):
             decompose(tensor, 0, SolveOptions(seed=0))
+        with pytest.raises(UnsupportedRankError):
+            decompose(tensor, 9.0, SolveOptions(seed=0))
+        with pytest.raises(UnsupportedRankError):
+            decompose(tensor, True, SolveOptions(seed=0))
+
+    def test_numpy_integer_rank(self, rng):
+        tensor, _ = planted_instance(rng, 6, 4, 3, 5)
+        _, report = decompose(tensor, np.int64(5), SolveOptions(seed=3))
+        assert report.success
 
     def test_middle_rank_route(self, rng):
         tensor, _ = planted_instance(rng, 6, 4, 3, 5)
@@ -199,6 +228,36 @@ class TestDecompose:
         assert r1.retries == r2.retries
 
 
+INVARIANCE_CASES = {"9x4x4r9": ((9, 4, 4, 9), 31), "6x4x3r3-lowrank": ((6, 4, 3, 3), 32)}
+
+
+def _scaled(c):
+    return lambda tensor, rng: Tensor3(c * tensor.data)
+
+
+def _unitary_mixed(tensor, rng):
+    n1, _, n3 = tensor.dims
+    inner = mode_t_matrix_product(random_unitary(n3, rng), tensor, mode=3)
+    return mode_t_matrix_product(random_unitary(n1, rng), inner, mode=1)
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANCE_CASES))
+@pytest.mark.parametrize(
+    "transform",
+    [_scaled(1e-6), _scaled(1e6), _scaled(3j), _unitary_mixed],
+    ids=["scale-1e-6", "scale-1e6", "scale-3j", "unitary-modes-1-3"],
+)
+def test_invariance_to_global_scale_and_unitary_mixing(case, transform):
+    # c T and W1 x_1 (V3 x_3 T) have rank-r decompositions whenever T has one
+    (n1, n2, n3, r), seed = INVARIANCE_CASES[case]
+    rng = np.random.default_rng(seed)
+    tensor, _ = planted_instance(rng, n1, n2, n3, r, complex_entries=True)
+    moved = transform(tensor, rng)
+    factors, report = decompose(moved, r, SolveOptions(seed=seed))
+    assert report.success and report.err_rel <= 1e-6
+    assert relative_error(moved, factors) <= 1e-6
+
+
 def test_time_limit_is_cooperative(rng):
     tensor, _ = planted_instance(rng, 6, 4, 3, 5)
     _, report = decompose(tensor, 5, SolveOptions(seed=13, time_limit=300.0))
@@ -245,6 +304,13 @@ def test_non_finite_lm_value_moves_on_to_next_attempt(rng, monkeypatch):
         {"time_limit": float("nan")},
         {"time_limit": float("inf")},
         {"stage1_max_rows": -1},
+        {"stage1_max_rows": True},
+        {"stage1_max_rows": 2.5},
+        {"stage1_max_rows": "3"},
+        {"seed": -1},
+        {"seed": True},
+        {"seed": 2.5},
+        {"seed": "3"},
     ],
 )
 def test_solve_options_reject_bad_settings(setting):
@@ -255,3 +321,5 @@ def test_solve_options_reject_bad_settings(setting):
 def test_solve_options_accept_edge_settings():
     SolveOptions(success_tol=1, time_limit=None, stage1_max_rows=0)
     SolveOptions(success_tol=np.float64(1e-9), time_limit=np.float32(0.5))
+    SolveOptions(seed=0, stage1_max_rows=None)
+    SolveOptions(seed=np.int64(3), stage1_max_rows=np.uint8(2))

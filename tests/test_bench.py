@@ -120,12 +120,6 @@ def test_instance_validation():
         BenchConfig(instances=[], methods=("nls",)).validate()
 
 
-def test_worker_env_override(monkeypatch):
-    monkeypatch.setenv("GPCPD_BENCH_WORKERS", "1")
-    report = run_benchmark(small_config(workers=4))
-    assert len(report.runs) == 2
-
-
 @pytest.mark.parametrize(
     "setting",
     [

@@ -119,6 +119,15 @@ def test_invalid_tolerance_is_usage_error(tmp_path, capsys, tol):
     assert "success_tol" in err
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    run_cli(capsys, "fixture", "--name", "example41", "--out", str(tmp_path))
+    code, _, err = run_cli(
+        capsys, "decompose", "--input", str(tmp_path / "example41_tensor.json"), "--rank", "5", "--seed", "-1"
+    )
+    assert code == 2
+    assert "seed" in err
+
+
 def test_non_finite_tensor_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "nan.json"
     bad.write_text('{"dims": [1, 1, 2], "data": [[NaN, 0.0], [1.0, 0.0]]}')

@@ -115,7 +115,6 @@ class TestEvalFQ:
             T=Tensor3(rt_full.T.data[:, :, :1]),
             P=rt_full.P,
             C=rt_full.C,
-            source_dims=(4, 2, 1),
             rank=3,
             cond_fhat=rt_full.cond_fhat,
         )
@@ -146,7 +145,7 @@ def oracle_frame(rng, n1, n2, n3, r, p):
         s_rows, lam, _ = planted_generating_data(tensor, triple, rt)
         for i in range(p):
             s = s_rows[i, :] / np.linalg.norm(s_rows[i, :])
-            found.rows.append(CommonEigRow(s=s, lambdas=lam[1:, i], residual=0.0))
+            found.rows.append(CommonEigRow(s=s, lambdas=lam[1:, i]))
     return rt, build_frame(rt, found, rng)
 
 
@@ -258,7 +257,7 @@ class TestExtractEigenvalues:
         t[:, :, 0] = np.eye(3)[:, :2]
         rt = ReducedTensor(
             T=Tensor3(t), P=np.eye(3, dtype=complex), C=np.zeros((3, 1), dtype=complex),
-            source_dims=(3, 2, 2), rank=3, cond_fhat=1.0,
+            rank=3, cond_fhat=1.0,
         )
         lams = extract_eigenvalues(np.array([1.0, 0.5, 0.25], dtype=complex), rt)
         assert np.array_equal(lams, np.zeros(1, dtype=complex))
@@ -276,7 +275,7 @@ class TestFindNextRow:
         rt = build_reduced_tensor(tensor, 5, seed=rng)
         row = find_next_row(rt, EigRowSet(rows=[], target=5), rng)
         assert row is not None
-        assert row.residual <= RESIDUAL_ZERO_TOL * rt.norm()
+        assert eig_residual(row.s, row.lambdas, rt) <= RESIDUAL_ZERO_TOL * rt.norm()
 
     def test_planted_full_sequence(self, rng):
         tensor, _, rt = make_rt(rng, 9, 4, 4, 9)
@@ -319,7 +318,7 @@ class TestRunStage1:
         found = run_stage1(rt, SolveOptions(), rng)
         assert found.p < 8
         for row in found.rows:
-            assert row.residual <= RESIDUAL_ZERO_TOL * rt.norm()
+            assert eig_residual(row.s, row.lambdas, rt) <= RESIDUAL_ZERO_TOL * rt.norm()
 
     def test_deflation_soundness_and_frame_property(self, rng):
         tensor, _, rt = make_rt(rng, 7, 3, 3, 6)

@@ -21,7 +21,7 @@ from gpcpd.stage2 import (
 )
 from gpcpd.tensors import Tensor3, vec
 
-from conftest import planted_generating_data, planted_instance
+from conftest import commutator_bound, planted_generating_data, planted_instance
 from dense_stage2 import (
     build_commuting_linear_system,
     build_partial_eig_system,
@@ -80,9 +80,7 @@ def planted_rowset(rt, s_rows, lam, p):
     rows = []
     for i in range(p):
         s = s_rows[i, :] / np.linalg.norm(s_rows[i, :])
-        rows.append(
-            CommonEigRow(s=s, lambdas=lam[1:, i].copy(), residual=eig_residual(s, lam[1:, i], rt))
-        )
+        rows.append(CommonEigRow(s=s, lambdas=lam[1:, i].copy()))
     return EigRowSet(rows=rows, target=rt.rank)
 
 
@@ -129,7 +127,7 @@ class TestPartialEigSystem:
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
         found = planted_rowset(rt, s_rows, lam, 2)
         scaled = EigRowSet(
-            rows=[CommonEigRow(s=2.0 * r_.s, lambdas=r_.lambdas, residual=r_.residual) for r_ in found.rows],
+            rows=[CommonEigRow(s=2.0 * r_.s, lambdas=r_.lambdas) for r_ in found.rows],
             target=found.target,
         )
         a, b = build_partial_eig_system(rt, scaled)
@@ -160,7 +158,7 @@ class TestAssemble:
         bad = found.rows[2]
         poisoned = EigRowSet(
             rows=found.rows[:2]
-            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas, residual=bad.residual)],
+            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas)],
             target=found.target,
         )
         with pytest.raises(InconsistentSystemError):
@@ -234,7 +232,7 @@ class TestFactoredMatchesDense:
         bad = found.rows[-1]
         poisoned = EigRowSet(
             rows=found.rows[:-1]
-            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, n1), lambdas=bad.lambdas, residual=bad.residual)],
+            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, n1), lambdas=bad.lambdas)],
             target=found.target,
         )
         if n3 == 2:
@@ -374,7 +372,7 @@ class TestHarvestRows:
         # each harvested row is a planted eigenrow up to a unimodular factor
         overlap = np.abs(rows.stacked().conj() @ truth.T)
         assert np.allclose(np.sort(overlap.max(axis=1)), 1.0, atol=1e-8)
-        assert all(row.residual <= RESIDUAL_ZERO_TOL * rt.norm() for row in rows.rows)
+        assert all(eig_residual(row.s, row.lambdas, rt) <= RESIDUAL_ZERO_TOL * rt.norm() for row in rows.rows)
 
     def test_no_endpoints_keep_the_row_set(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
@@ -389,29 +387,29 @@ class TestRunStage2:
         tensor, _ = fixture_example41()
         rt = build_reduced_tensor(tensor, 5, seed=rng)
         found = run_stage1(rt, SolveOptions(), rng).truncated(2)
-        pk = run_stage2(rt, found, rng)
-        assert pk.commutator_bound() <= OFFDIAG_TOL
-        t1 = rt.first_slice_target()
-        for idx, m in enumerate(pk.M):
+        ms = run_stage2(rt, found, rng)
+        assert commutator_bound(ms) <= OFFDIAG_TOL
+        t1 = np.eye(rt.rank)[:, : rt.slice_cols]
+        for idx, m in enumerate(ms):
             assert np.linalg.norm(m @ t1 - rt.slice(idx + 2)) <= 1e-9 * max(1.0, np.linalg.norm(m))
 
     def test_planted_from_scratch(self, rng):
         _, _, rt, _, _, _, _ = make_planted(rng, 9, 4, 4, 9)
-        pk = run_stage2(rt, EigRowSet(rows=[], target=9), rng)
-        assert pk.commutator_bound() <= OFFDIAG_TOL
+        ms = run_stage2(rt, EigRowSet(rows=[], target=9), rng)
+        assert commutator_bound(ms) <= OFFDIAG_TOL
 
     def test_fully_determined_shortcut(self, rng):
         _, _, rt, s_rows, lam, ms, _ = make_planted(rng, 6, 3, 3, 5)
-        pk = run_stage2(rt, planted_rowset(rt, s_rows, lam, 5), rng)
-        for got, want in zip(pk.M, ms):
+        got_ms = run_stage2(rt, planted_rowset(rt, s_rows, lam, 5), rng)
+        for got, want in zip(got_ms, ms):
             assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
 
     def test_solution_satisfies_combined_system(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 7, 3, 3, 6)
         found = planted_rowset(rt, s_rows, lam, 2)
-        pk = run_stage2(rt, found, rng)
+        ms = run_stage2(rt, found, rng)
         a_hat, b_hat = dense_system(rt, found)
-        p_vec = np.concatenate([vec(p) for p in pk.P])
+        p_vec = np.concatenate([vec(m[:, rt.slice_cols :]) for m in ms])
         gap = np.linalg.norm(a_hat @ p_vec - b_hat)
         assert gap <= 1e-8 * max(1.0, np.linalg.norm(b_hat))
 
@@ -434,11 +432,11 @@ class TestEigenrowLevels:
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
         found = planted_rowset(rt, s_rows, lam, 3)
         bad = found.rows[2]
-        found.rows[2] = CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas, residual=bad.residual)
+        found.rows[2] = CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas)
         levels = self.record_levels(monkeypatch)
-        pk = run_stage2(rt, found, rng)
+        ms = run_stage2(rt, found, rng)
         assert levels == [3, 2]
-        assert pk.commutator_bound() <= OFFDIAG_TOL
+        assert commutator_bound(ms) <= OFFDIAG_TOL
 
     def test_failed_level_is_resolved_with_harvested_rows(self, rng, monkeypatch):
         import gpcpd.stage2 as stage2
@@ -454,9 +452,9 @@ class TestEigenrowLevels:
             return real(sys2, rt_, rng_, deadline, endpoints)
 
         monkeypatch.setattr(stage2, "_solve_system", first_call_fails)
-        pk = run_stage2(rt, planted_rowset(rt, s_rows, lam, 2), rng)
+        ms = run_stage2(rt, planted_rowset(rt, s_rows, lam, 2), rng)
         assert levels == [2, 5]
-        assert pk.commutator_bound() <= OFFDIAG_TOL
+        assert commutator_bound(ms) <= OFFDIAG_TOL
 
     def test_inconsistent_harvest_ends_stage2(self, rng, monkeypatch):
         import gpcpd.stage2 as stage2
@@ -466,7 +464,7 @@ class TestEigenrowLevels:
         bad = found.rows[2]
         poisoned = EigRowSet(
             rows=found.rows[:2]
-            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas, residual=bad.residual)],
+            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas)],
             target=5,
         )
         levels = self.record_levels(monkeypatch)

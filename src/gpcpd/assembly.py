@@ -11,7 +11,7 @@ all ones), and U1 solves the mode-1 least-squares system
   (commutation solve) completes the eigenmatrix.
 
 Each retry draws fresh stage randomness and a new augmentation C, and mixes
-modes 1 and 3 by random unitaries.
+modes 1 and 3 by random unitaries; on the low-rank route it mixes mode 2 too.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .tensors import (
 
 _EIG_COMBO_TRIES = 4
 OFFDIAG_TOL = 1e-6  # off-diagonal mass of S M_k S^{-1}, relative, still counted diagonal
-_MAX_RETRIES = 5  # attempts after the first; every retry mixes modes 1 and 3
+_MAX_RETRIES = 5  # attempts after the first, each on randomly mixed modes
 
 
 def recover_U1_lls(u2: np.ndarray, u3: np.ndarray, f: Tensor3) -> tuple[np.ndarray, float]:
@@ -85,43 +85,30 @@ def eigmatrix_from_pkset(ms: list, rt: ReducedTensor, rng=None) -> EigRowSet:
     """Simultaneously diagonalize the generating matrices M_2 .. M_n3 into an eigenmatrix.
 
     Tries M_2 first, then random complex combinations of all M_k (tie-broken
-    eigenvalues), validating that every S M_k S^{-1} is diagonal to OFFDIAG_TOL.
-    A lone M_2 (n3 = 2) is tried once: its combinations are multiples of it,
-    with the same eigenvectors.
+    eigenvalues), each drawn only after the previous candidate failed,
+    validating that every S M_k S^{-1} is diagonal to OFFDIAG_TOL. A lone M_2
+    (n3 = 2) is tried once: its combinations are multiples of it, with the
+    same eigenvectors.
     """
     rng = as_rng(rng)
     r = rt.rank
-    n3 = rt.n_slices
-    candidates = [ms[0]]
-    if len(ms) > 1:
-        for _ in range(_EIG_COMBO_TRIES - 1):
-            alpha = complex_normal(rng, len(ms))
-            candidates.append(sum(a * m for a, m in zip(alpha, ms)))
+    stack = np.array(ms)
     last_error = "no candidate eigenbasis tried"
-    for source in candidates:
+    for attempt in range(_EIG_COMBO_TRIES if len(ms) > 1 else 1):
+        source = ms[0] if attempt == 0 else np.tensordot(complex_normal(rng, len(ms)), stack, axes=1)
         eig = left_eigendecomposition(source)
         if eig.s_min <= 1e-8:
             last_error = f"eigenbasis ill-conditioned (s_min = {eig.s_min:.2e})"
             continue
         s = eig.S
-        try:
-            s_inv = np.linalg.inv(s)
-        except np.linalg.LinAlgError:
-            last_error = "eigenbasis singular"
+        e = s @ stack @ eig.S_inv  # S M_k S^{-1} for every k at once
+        diag = np.diagonal(e, axis1=1, axis2=2)  # (n3 - 1, r)
+        off = np.linalg.norm(e - diag[:, :, None] * np.eye(r), axis=(1, 2))
+        bad = np.flatnonzero(off > OFFDIAG_TOL * np.maximum(np.linalg.norm(e, axis=(1, 2)), 1e-300))
+        if bad.size:
+            last_error = f"off-diagonal mass {off[bad[0]]:.2e} too large for slice {bad[0] + 2}"
             continue
-        lambdas = np.empty((r, n3 - 1), dtype=np.complex128)
-        ok = True
-        for idx, m in enumerate(ms):
-            e = s @ m @ s_inv
-            diag = np.diag(np.diagonal(e))
-            off = float(np.linalg.norm(e - diag))
-            if off > OFFDIAG_TOL * max(float(np.linalg.norm(e)), 1e-300):
-                ok = False
-                last_error = f"off-diagonal mass {off:.2e} too large for slice {idx + 2}"
-                break
-            lambdas[:, idx] = np.diagonal(e)
-        if not ok:
-            continue
+        lambdas = diag.T.copy()  # (r, n3 - 1)
         return EigRowSet(rows=[CommonEigRow(s=s[i, :], lambdas=lambdas[i, :]) for i in range(r)], target=r)
     raise AssemblyError(f"simultaneous diagonalization failed: {last_error}")
 
@@ -216,9 +203,10 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
         rng = np.random.default_rng(master.spawn(1)[0])
         mix = attempt > 0
         if mix:
-            work, w1, v3 = random_mode_mixing(work0, seed=rng)
+            # the GEVD reads only the leading r x r block of mode 2, so that mode is mixed too
+            work, w1, w2, w3 = random_mode_mixing(work0, seed=rng, mode2=lowrank)
         else:
-            work, w1, v3 = work0, None, None
+            work = work0
         try:
             if lowrank:
                 factors, stage = gevd_lowrank_decompose(work, r, rng), "lowrank-gevd"
@@ -227,9 +215,8 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
         except _RECOVERABLE:
             continue
         if mix:
-            factors = FactorTriple(
-                w1.conj().T @ factors.U1, factors.U2, v3.conj().T @ factors.U3, r
-            )
+            u2 = factors.U2 if w2 is None else w2.conj().T @ factors.U2
+            factors = FactorTriple(w1.conj().T @ factors.U1, u2, w3.conj().T @ factors.U3, r)
         err = relative_error(work0, factors)
         if best is None or err < best[0]:
             best = (err, factors, stage)

@@ -20,10 +20,17 @@ RANK_REL_TOL = 1e-10
 RESIDUAL_ZERO_TOL = 1e-8
 
 
+def spectrum_deficient(s: np.ndarray) -> bool:
+    """True when the smallest of the descending singular values s is numerically zero.
+
+    Also True when s is empty or zero; ``rank_deficient`` is this test on a matrix.
+    """
+    return s.size == 0 or s[0] == 0.0 or s[-1] <= RANK_REL_TOL * s[0]
+
+
 def rank_deficient(a: np.ndarray) -> bool:
     """True when a's smallest singular value is numerically zero (or a is empty or zero)."""
-    s = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
-    return s.size == 0 or s[0] == 0.0 or s[-1] <= RANK_REL_TOL * s[0]
+    return spectrum_deficient(np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False))
 
 
 def residual_is_zero(residual: float, scale: float) -> bool:
@@ -67,25 +74,34 @@ def least_squares_min_norm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, fl
     """Minimum-norm least-squares solution of a x = b.
 
     Returns (x, ||ax - b||_F, deficient), where ``deficient`` is the
-    ``rank_deficient`` test of a, read from the singular values the solve
-    computes anyway.
+    ``rank_deficient`` test of a. A tall a of full column rank is solved by
+    Householder QR (R has the singular values of a, so the test reads R);
+    a wide or deficient a goes to the SVD-based gelsd with the same cutoff.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
+    m, n = a.shape
+    if m >= n > 0:
+        q, r = np.linalg.qr(a)
+        if not rank_deficient(r):
+            x = np.linalg.solve(r, q.conj().T @ b)
+            return x, float(np.linalg.norm(a @ x - b)), False
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_REL_TOL)
-    residual = float(np.linalg.norm(a @ x - b))
-    return x, residual, rank < min(a.shape)
+    return x, float(np.linalg.norm(a @ x - b)), rank < min(m, n)
 
 
 @dataclass(frozen=True)
 class LeftEig:
     """Left eigendecomposition S m = diag(values) S (rowwise), rows unit-norm.
 
-    ``s_min`` is the smallest singular value of S; a tiny value flags a
-    defective or near-defective input for the caller to act on.
+    ``S_inv`` is the eigenvector matrix with its columns scaled to match, the
+    inverse of S. ``s_min`` is the smallest singular value of S; a tiny value
+    flags a defective or near-defective input for the caller to act on (S_inv
+    is then not an inverse).
     """
 
     S: np.ndarray
+    S_inv: np.ndarray
     values: np.ndarray
     s_min: float
 
@@ -103,7 +119,7 @@ def left_eigendecomposition(m: np.ndarray) -> LeftEig:
     norms[norms == 0.0] = 1.0
     s = s / norms[:, None]
     sv = np.linalg.svd(s, compute_uv=False)
-    return LeftEig(S=s, values=values, s_min=float(sv[-1]))
+    return LeftEig(S=s, S_inv=v * norms, values=values, s_min=float(sv[-1]))
 
 
 def random_unitary(r: int, seed_or_rng=None) -> np.ndarray:

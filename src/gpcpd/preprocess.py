@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConditioningError, DimensionMismatchError, GenericityError
-from .linalg import as_rng, complex_normal, condition_estimate, random_unitary, rank_deficient
+from .linalg import as_rng, complex_normal, condition_estimate, random_unitary, rank_deficient, spectrum_deficient
 from .tensors import Tensor3, mode_t_matrix_product
 
 _COND_CAP = 1e8
@@ -86,7 +86,8 @@ def build_reduced_tensor_lowrank(f: Tensor3, r: int) -> ReducedTensor:
     if not (1 <= r <= n2):
         raise DimensionMismatchError(f"low-rank reduction needs 1 <= r <= n2, got r={r}, dims={f.dims}")
     lead = f.data[:r, :r, 0]
-    if rank_deficient(lead):
+    sv = np.linalg.svd(lead, compute_uv=False)
+    if spectrum_deficient(sv):
         raise GenericityError("leading r x r block of the first slice is numerically singular")
     p = np.linalg.inv(lead)
     t = mode_t_matrix_product(p, Tensor3(f.data[:r, :r, :]), mode=1)
@@ -95,20 +96,25 @@ def build_reduced_tensor_lowrank(f: Tensor3, r: int) -> ReducedTensor:
         P=p,
         C=np.zeros((r, 0), dtype=np.complex128),
         rank=r,
-        cond_fhat=float(condition_estimate(lead)),
+        cond_fhat=float(sv[0] / sv[-1]),
     )
 
 
-def random_mode_mixing(f: Tensor3, seed=None):
-    """Mix modes 1 and 3 by random unitaries to restore genericity.
+def random_mode_mixing(f: Tensor3, seed=None, mode2: bool = False):
+    """Mix modes 1 and 3, and mode 2 when ``mode2``, by random unitaries to restore genericity.
 
-    Returns (g, W1, V3) with g = W1 x_1 (V3 x_3 f). Factors of g map back to
-    factors of f via U1 = W1^{-1} U1', U3 = V3^{-1} U3' (here W1, V3 unitary,
-    so the inverses are conjugate transposes).
+    Returns (g, W1, W2, W3) with g = W1 x_1 (W2 x_2 (W3 x_3 f)); W2 is None
+    when mode 2 is left alone. Factors of g map back to factors of f via
+    U_k = W_k^{-1} U_k' (here W_k unitary, so the inverses are conjugate
+    transposes). W2 is drawn after W1 and W3, so mixing it leaves their draws
+    unchanged.
     """
     rng = as_rng(seed)
-    n1, _, n3 = f.dims
+    n1, n2, n3 = f.dims
     w1 = random_unitary(n1, rng)
-    v3 = random_unitary(n3, rng)
-    g = mode_t_matrix_product(w1, mode_t_matrix_product(v3, f, mode=3), mode=1)
-    return g, w1, v3
+    w3 = random_unitary(n3, rng)
+    w2 = random_unitary(n2, rng) if mode2 else None
+    g = mode_t_matrix_product(w3, f, mode=3)
+    if w2 is not None:
+        g = mode_t_matrix_product(w2, g, mode=2)
+    return mode_t_matrix_product(w1, g, mode=1), w1, w2, w3

@@ -53,7 +53,6 @@ class Stage2System:
     P0: list  # particular solution, r x (r-n2) matrices for k = 2 .. n3
     N: np.ndarray  # (r m) x d orthonormal null-space basis
     N_blocks: list  # per-k row blocks of N
-    lls_residual: float
     rank: int
     n2: int
     n3: int
@@ -159,7 +158,6 @@ def assemble_stage2(rt: ReducedTensor, found: EigRowSet) -> Stage2System:
         P0=[p0_mat[:, c * t : (c + 1) * t] for c in range(n3 - 1)],
         N=n,
         N_blocks=[n[c * width : (c + 1) * width, :] for c in range(n3 - 1)],
-        lls_residual=lls_residual,
         rank=r,
         n2=n2,
         n3=n3,

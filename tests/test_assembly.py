@@ -118,6 +118,29 @@ class TestEigmatrixFromPkset:
             eigmatrix_from_pkset([jordan], rt, rng)
         assert len(calls) == 1
 
+    def test_diagonalizing_m2_draws_no_combination(self, rng, monkeypatch):
+        # combinations are drawn only after a failed candidate: a planted
+        # low-rank M_2 with distinct eigenvalues diagonalizes every M_k itself
+        import gpcpd.assembly as assembly
+
+        tensor, _ = planted_instance(rng, 7, 5, 4, 4, complex_entries=True)
+        rt = build_reduced_tensor_lowrank(tensor, 4)
+        ms = [rt.slice(k) for k in range(2, rt.n_slices + 1)]
+        calls = []
+        real = assembly.complex_normal
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(assembly, "complex_normal", counting)
+        rows = eigmatrix_from_pkset(ms, rt, rng)
+        assert rows.complete and calls == []
+        s, lam = rows.stacked(), rows.lambda_matrix()
+        for k, m in enumerate(ms):
+            # rows are left eigenvectors: s_i M_k = lambda_ik s_i
+            assert np.linalg.norm(s @ m - lam[k + 1][:, None] * s) <= 1e-10 * np.linalg.norm(m)
+
 
 class TestGevdLowrank:
     def test_planted_rank3(self, rng):
@@ -217,6 +240,19 @@ class TestDecompose:
         tensor = cpd_to_tensor(triple)
         factors, report = decompose(tensor, r, SolveOptions(seed=7))
         assert report.success
+        assert relative_error(tensor, factors) <= 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lowrank_retry_mixes_mode_two(self, seed):
+        # U2's leading rows dependent: the leading r x r block of every slice is
+        # singular, so only a retry that mixes mode 2 can pass the reduction
+        rng = np.random.default_rng(seed)
+        r = 3
+        u1, u2, u3 = rng.standard_normal((8, r)), rng.standard_normal((5, r)), rng.standard_normal((4, r))
+        u2[1] = 2.0 * u2[0]
+        tensor = cpd_to_tensor(FactorTriple(u1, u2, u3, r))
+        factors, report = decompose(tensor, r, SolveOptions(seed=seed))
+        assert report.success and report.stage_used == "lowrank-gevd" and report.retries >= 1
         assert relative_error(tensor, factors) <= 1e-6
 
     def test_seed_determinism(self, rng):

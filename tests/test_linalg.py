@@ -13,6 +13,7 @@ from gpcpd.linalg import (
     rank_deficient,
     residual_is_zero,
 )
+from gpcpd.tensors import khatri_rao
 
 
 class TestQrFull:
@@ -110,12 +111,42 @@ class TestLeastSquaresMinNorm:
             np.ones((4, 3)),
             np.arange(12.0).reshape(3, 4),
             np.eye(3)[:, :2],
+            np.vstack([np.diag([1.0, 0.5, RANK_REL_TOL]), np.zeros((4, 3))]),
+            np.vstack([np.diag([1.0, 0.5, 2.0 * RANK_REL_TOL]), np.zeros((4, 3))]),
         ],
-        ids=["at-cutoff", "above-cutoff", "zero", "rank-one", "wide-rank-two", "tall-full"],
+        ids=[
+            "at-cutoff",
+            "above-cutoff",
+            "zero",
+            "rank-one",
+            "wide-rank-two",
+            "tall-full",
+            "tall-at-cutoff",
+            "tall-above-cutoff",
+        ],
     )
     def test_deficient_flag_matches_rank_deficient(self, a):
         _, _, deficient = least_squares_min_norm(a, np.ones(a.shape[0]))
         assert deficient == rank_deficient(a)
+
+    @pytest.mark.parametrize(
+        "rows, cols, rhs",
+        [((8,), 3, None), ((50,), 20, 5), ((25, 12), 25, 60), ((60, 12), 25, 30)],
+        ids=["tall-vector-rhs", "tall-50x20", "khatri-rao-300x25", "khatri-rao-720x25"],
+    )
+    def test_tall_full_rank_matches_gelsd(self, rng, rows, cols, rhs):
+        # the QR path against numpy's SVD-based solver, on inconsistent systems;
+        # two row factors make a Khatri-Rao matrix shaped like the factor solves'
+        factors = [complex_normal(rng, (n, cols)) for n in rows]
+        a = factors[0] if len(factors) == 1 else khatri_rao(*factors)
+        b = complex_normal(rng, (a.shape[0],) if rhs is None else (a.shape[0], rhs))
+        x, res, deficient = least_squares_min_norm(a, b)
+        x_ref, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_REL_TOL)
+        res_ref = np.linalg.norm(a @ x_ref - b)
+        assert not deficient and rank == cols
+        assert x.shape == x_ref.shape
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        assert abs(res - res_ref) <= 1e-12 * res_ref
 
     def test_minimum_norm_among_solutions(self, rng):
         a = complex_normal(rng, (2, 5))
@@ -145,6 +176,13 @@ class TestLeftEigendecomposition:
             row = out.S[i, :]
             assert abs(np.linalg.norm(row) - 1.0) <= 1e-12
             assert np.linalg.norm(row @ m - out.values[i] * row) <= 1e-8 * np.linalg.norm(m)
+
+    def test_returns_inverse_of_eigenbasis(self, rng):
+        q = random_unitary(6, rng)
+        m = q @ np.diag(complex_normal(rng, 6)) @ q.conj().T
+        out = left_eigendecomposition(m)
+        assert np.linalg.norm(out.S @ out.S_inv - np.eye(6)) <= 1e-12
+        assert np.linalg.norm(out.S @ m @ out.S_inv - np.diag(out.values)) <= 1e-12 * np.linalg.norm(m)
 
     def test_jordan_block_flags_conditioning(self):
         out = left_eigendecomposition(np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -97,18 +97,28 @@ class TestBuildReducedTensorLowrank:
 class TestRandomModeMixing:
     def test_mixing_preserves_flattening_rank(self, rng):
         tensor, _ = planted_instance(rng, 6, 4, 3, 5)
-        g, _, _ = random_mode_mixing(tensor, seed=1)
+        g, _, _, _ = random_mode_mixing(tensor, seed=1)
         assert np.linalg.matrix_rank(mode_k_flatten(g, 1)) == np.linalg.matrix_rank(
             mode_k_flatten(tensor, 1)
         )
 
     def test_factor_unmixing_recovers_tensor(self, rng):
         tensor, triple = planted_instance(rng, 5, 3, 3, 4)
-        g, w1, v3 = random_mode_mixing(tensor, seed=2)
+        g, w1, w2, v3 = random_mode_mixing(tensor, seed=2)
+        assert w2 is None
         mixed = FactorTriple(w1 @ triple.U1, triple.U2, v3 @ triple.U3, 4)
         assert np.linalg.norm(g.data - cpd_to_tensor(mixed).data) <= 1e-12 * g.norm()
         unmixed = FactorTriple(w1.conj().T @ mixed.U1, mixed.U2, v3.conj().T @ mixed.U3, 4)
         assert np.linalg.norm(tensor.data - cpd_to_tensor(unmixed).data) <= 1e-12 * tensor.norm()
+
+    def test_mode_two_mixing_keeps_the_other_draws(self, rng):
+        tensor, triple = planted_instance(rng, 5, 3, 3, 2)
+        _, w1, _, w3 = random_mode_mixing(tensor, seed=3)
+        g, w1_all, w2, w3_all = random_mode_mixing(tensor, seed=3, mode2=True)
+        assert np.array_equal(w1, w1_all) and np.array_equal(w3, w3_all)
+        assert np.linalg.norm(w2.conj().T @ w2 - np.eye(3)) <= 1e-12
+        mixed = FactorTriple(w1 @ triple.U1, w2 @ triple.U2, w3 @ triple.U3, 2)
+        assert np.linalg.norm(g.data - cpd_to_tensor(mixed).data) <= 1e-12 * g.norm()
 
 
 def test_first_slice_invariant_across_profiles(rng):

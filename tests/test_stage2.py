@@ -61,7 +61,6 @@ def random_system(rng, rt, d):
         P0=[complex_normal(rng, (r, r - n2)) for _ in range(n3 - 1)],
         N=n,
         N_blocks=[n[k * width : (k + 1) * width, :] for k in range(n3 - 1)],
-        lls_residual=0.0,
         rank=r,
         n2=n2,
         n3=n3,

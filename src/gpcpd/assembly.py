@@ -56,15 +56,12 @@ OFFDIAG_TOL = 1e-6  # off-diagonal mass of S M_k S^{-1}, relative, still counted
 _MAX_RETRIES = 5  # attempts after the first, each on randomly mixed modes
 
 
-def recover_U1_lls(u2: np.ndarray, u3: np.ndarray, f: Tensor3) -> tuple[np.ndarray, float]:
-    """Solve (U2 kr U3) X = Flatten(f, 1)^T for U1 = X^T; returns (U1, rel residual)."""
-    a = khatri_rao(u2, u3)
-    b = mode_k_flatten(f, 1).T
-    x, residual, deficient = least_squares_min_norm(a, b)
+def recover_U1_lls(u2: np.ndarray, u3: np.ndarray, f: Tensor3) -> np.ndarray:
+    """Solve (U2 kr U3) X = Flatten(f, 1)^T for U1 = X^T."""
+    x, deficient = least_squares_min_norm(khatri_rao(u2, u3), mode_k_flatten(f, 1).T)
     if deficient:
         raise AssemblyError("Khatri-Rao matrix of U2, U3 is column rank deficient")
-    rel = residual / max(float(np.linalg.norm(b)), 1e-300)
-    return x.T, rel
+    return x.T
 
 
 def decomposition_from_eigmatrix(rows: EigRowSet, f: Tensor3, rt: ReducedTensor) -> FactorTriple:
@@ -77,7 +74,7 @@ def decomposition_from_eigmatrix(rows: EigRowSet, f: Tensor3, rt: ReducedTensor)
     n2 = rt.slice_cols
     u2 = s[:, :n2].T
     u3 = rows.lambda_matrix()
-    u1, _ = recover_U1_lls(u2, u3, f)
+    u1 = recover_U1_lls(u2, u3, f)
     return FactorTriple(u1, u2, u3, rows.target)
 
 
@@ -121,9 +118,9 @@ def _factors_from_reduced_eigmatrix(rows: EigRowSet, f: Tensor3, r: int) -> Fact
     u2_lead = s.T  # r x r
     u3 = rows.lambda_matrix()
     sub = Tensor3(f.data[:, :r, :])
-    u1, _ = recover_U1_lls(u2_lead, u3, sub)
+    u1 = recover_U1_lls(u2_lead, u3, sub)
     a = khatri_rao(u1, u3)  # mode-2 system: Flatten(f, 2)^T = (U1 kr U3) U2^T
-    x, _, deficient = least_squares_min_norm(a, mode_k_flatten(f, 2).T)
+    x, deficient = least_squares_min_norm(a, mode_k_flatten(f, 2).T)
     if deficient:
         raise AssemblyError("mode-2 Khatri-Rao matrix rank deficient")
     return FactorTriple(u1, x.T, u3, r)

@@ -70,13 +70,13 @@ def null_space_basis(a: np.ndarray) -> np.ndarray:
     return vh[rank:, :].conj().T
 
 
-def least_squares_min_norm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def least_squares_min_norm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
     """Minimum-norm least-squares solution of a x = b.
 
-    Returns (x, ||ax - b||_F, deficient), where ``deficient`` is the
-    ``rank_deficient`` test of a. A tall a of full column rank is solved by
-    Householder QR (R has the singular values of a, so the test reads R);
-    a wide or deficient a goes to the SVD-based gelsd with the same cutoff.
+    Returns (x, deficient), where ``deficient`` is the ``rank_deficient``
+    test of a. A tall a of full column rank is solved by Householder QR (R
+    has the singular values of a, so the test reads R); a wide or deficient
+    a goes to the SVD-based gelsd with the same cutoff.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -84,10 +84,9 @@ def least_squares_min_norm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, fl
     if m >= n > 0:
         q, r = np.linalg.qr(a)
         if not rank_deficient(r):
-            x = np.linalg.solve(r, q.conj().T @ b)
-            return x, float(np.linalg.norm(a @ x - b)), False
+            return np.linalg.solve(r, q.conj().T @ b), False
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_REL_TOL)
-    return x, float(np.linalg.norm(a @ x - b)), rank < min(m, n)
+    return x, rank < min(m, n)
 
 
 @dataclass(frozen=True)

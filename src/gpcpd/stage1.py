@@ -86,6 +86,10 @@ class SearchFrame:
       ``w_last`` = vec(tq[r-1]), so vec(W) = dw x + w_last;
     * ``tq_u`` (n2 x n3 (r-1)), entry (i, k (r-1) + j) = tq[j, i, k], so
       u @ tq_u holds u^T tq[j] for every j.
+
+    ``last`` is the one mutable slot: the point ``eval_fQ`` was last called
+    at (its bytes) and the state it formed there, which ``jac_fQ`` reuses
+    at the same point instead of recomputing it.
     """
 
     Q: np.ndarray
@@ -95,6 +99,7 @@ class SearchFrame:
     dw: np.ndarray
     w_last: np.ndarray
     tq_u: np.ndarray
+    last: list = field(default_factory=list, compare=False, repr=False)
 
     @classmethod
     def from_q(cls, q: np.ndarray, rt: ReducedTensor) -> "SearchFrame":
@@ -138,12 +143,20 @@ def _guard(u: np.ndarray) -> complex:
     return s
 
 
-def eval_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor) -> np.ndarray:
-    """Projected residual vec(Z W), zero exactly at generalized common eigenvectors."""
+def _fq_state(x: np.ndarray, frame: SearchFrame) -> tuple:
+    """(u, u^T u, W^T, u^T W) at x: u = xbar[:n2], W^T is (n3, n2)."""
     u = frame.qu @ x + frame.qu_last
     s = _guard(u)
-    wt = (frame.dw @ x + frame.w_last).reshape(-1, u.size)  # W^T, (n3, n2)
-    return (wt - np.outer((wt @ u) / s, u)).reshape(-1)
+    wt = (frame.dw @ x + frame.w_last).reshape(-1, u.size)
+    return u, s, wt, wt @ u
+
+
+def eval_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor) -> np.ndarray:
+    """Projected residual vec(Z W), zero exactly at generalized common eigenvectors."""
+    state = _fq_state(x, frame)
+    frame.last[:] = (x.tobytes(), state)
+    u, s, wt, uw = state
+    return (wt - np.outer(uw / s, u)).reshape(-1)
 
 
 def jac_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor) -> np.ndarray:
@@ -153,14 +166,16 @@ def jac_fQ(x: np.ndarray, frame: SearchFrame, rt: ReducedTensor) -> np.ndarray:
     s = u^T u and ds = 2 u^T du,
     d(Z W) = dW - du (u^T W) / s - u (du^T W + u^T dW) / s + u (u^T W) ds / s^2
            = dW - (du - u ds / s) (u^T W) / s - u (du^T W + u^T dW) / s,
-    formed for all r - 1 columns at once as an (n3, n2, r-1) stack.
+    formed for all r - 1 columns at once as an (n3, n2, r-1) stack. The point
+    state (u, s, W, u^T W) is the one ``eval_fQ`` last formed when x is that
+    point, bit for bit, as it is at every LM iterate; otherwise it is formed here.
     """
     qu = frame.qu
-    u = qu @ x + frame.qu_last
-    s = _guard(u)
-    wt = (frame.dw @ x + frame.w_last).reshape(-1, u.size)  # W^T, (n3, n2)
+    if frame.last and frame.last[0] == x.tobytes():
+        u, s, wt, uw = frame.last[1]
+    else:
+        u, s, wt, uw = _fq_state(x, frame)
     n3, m = wt.shape[0], qu.shape[1]
-    uw = wt @ u  # (n3,) = u^T W
     ds = 2.0 * (u @ qu)  # (r-1,)
     du_s = (qu - u[:, None] * (ds / s)) / s  # (n2, r-1): (du - u ds / s) / s
     cw = (u @ frame.tq_u).reshape(n3, m)
@@ -187,26 +202,22 @@ def extract_eigenvalues(s_row: np.ndarray, rt: ReducedTensor) -> np.ndarray:
 
 
 def eig_residual(s_row: np.ndarray, lambdas: np.ndarray, rt: ReducedTensor) -> float:
-    """max_k || T_k^T s - lambda_k s[:n2] || with lambda_1 = 1."""
-    s_row = np.asarray(s_row, dtype=np.complex128).reshape(-1)
-    n2 = rt.slice_cols
-    w = np.tensordot(s_row, rt.T.data, axes=([0], [0]))
-    lam_full = np.concatenate([[1.0], np.asarray(lambdas, dtype=np.complex128)])
-    res = w - np.outer(s_row[:n2], lam_full)
-    return float(np.max(np.linalg.norm(res, axis=0)))
+    """max_k || T_k^T s - lambda_k s[:n2] || with lambda_1 = 1: the largest block norm of ``eval_eig``."""
+    return _max_block_norm(eval_eig(s_row, lambdas, rt), rt.slice_cols)
 
 
-def _unfolded(rt: ReducedTensor) -> np.ndarray:
-    """(n2 n3) x r matrix B with B s = vec(T^T s): block k is T_k^T."""
-    r, n2, n3 = rt.T.data.shape
-    return rt.T.data.transpose(2, 1, 0).reshape(n2 * n3, r)
+def _max_block_norm(res: np.ndarray, n2: int) -> float:
+    """Largest norm among the length-n2 blocks of an ``eval_eig`` residual."""
+    return float(np.max(np.linalg.norm(res.reshape(-1, n2), axis=1)))
 
 
 def eval_eig(s_row: np.ndarray, lambdas: np.ndarray, rt: ReducedTensor) -> np.ndarray:
     """Raw eigen-equation residual vec(T_k^T s - lambda_k s[:n2]), k = 1 .. n3, lambda_1 = 1."""
     s_row = np.asarray(s_row, dtype=np.complex128).reshape(-1)
+    r, n2, n3 = rt.T.data.shape
     lam_full = np.concatenate([[1.0], np.asarray(lambdas, dtype=np.complex128)])
-    return _unfolded(rt) @ s_row - np.outer(lam_full, s_row[: rt.slice_cols]).reshape(-1)
+    w = (s_row @ rt.T.data.reshape(r, n2 * n3)).reshape(n2, n3)  # W = sum_a s_a T[a]: column k is T_k^T s
+    return (w.T - np.outer(lam_full, s_row[:n2])).reshape(-1)
 
 
 def jac_eig(s_row: np.ndarray, lambdas: np.ndarray, rt: ReducedTensor) -> np.ndarray:
@@ -218,13 +229,30 @@ def jac_eig(s_row: np.ndarray, lambdas: np.ndarray, rt: ReducedTensor) -> np.nda
     s_row = np.asarray(s_row, dtype=np.complex128).reshape(-1)
     r, n2, n3 = rt.T.data.shape
     lam_full = np.concatenate([[1.0], np.asarray(lambdas, dtype=np.complex128)])
-    j = np.zeros((n2 * n3, r + n3 - 1), dtype=np.complex128)
-    j[:, :r] = _unfolded(rt)
-    rows = np.arange(n2 * n3)
-    j[rows, rows % n2] -= np.repeat(lam_full, n2)
-    tail = rows[n2:]
-    j[tail, r - 1 + tail // n2] = -np.tile(s_row[:n2], n3 - 1)
-    return j
+    j = np.zeros((n3, n2, r + n3 - 1), dtype=np.complex128)  # (block k, row, column)
+    j[:, :, :r] = rt.T.data.transpose(2, 1, 0)
+    i = np.arange(n2)
+    j[:, i, i] -= lam_full[:, None]
+    k = np.arange(1, n3)
+    j[k, :, r - 1 + k] = -s_row[:n2]
+    return j.reshape(n2 * n3, -1)
+
+
+def _gn_step(j: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solution of j delta = b through the normal equations of j's smaller side.
+
+    Tall j: (J^H J) delta = J^H b. Wide j: delta = J^H (J J^H)^{-1} b, the
+    minimum-norm solution (Bjorck, Numerical Methods for Least Squares
+    Problems, 1996, sections 1.1-1.2). SVD-based gelsd only when the small
+    system is exactly singular.
+    """
+    jh = j.conj().T
+    try:
+        if j.shape[0] >= j.shape[1]:
+            return np.linalg.solve(jh @ j, jh @ b)
+        return jh @ np.linalg.solve(j @ jh, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(j, b, rcond=None)[0]
 
 
 def refine_row(
@@ -235,24 +263,41 @@ def refine_row(
     The eigenvalue of a row with a small leading part s[:n2] is poorly
     determined by the projected residual alone; a few joint refinement steps
     push both the direction and the eigenvalues to the round-off floor, which
-    stage 2 needs when it reuses the row. Keeps the row unit norm.
+    stage 2 needs when it reuses the row.
+
+    Each step solves the eigen-equations of blocks k = 2 .. n3 (rows of
+    ``jac_eig``) and a gauge row s^H delta_s = 0, which keeps the step tangent
+    to the unit sphere, by ``_gn_step``. Block k = 1, T_1^T s - s[:n2], is
+    zero by construction (T_1 = I_r[:, :n2], lambda_1 = 1); its rows hold
+    only round-off and would make the system numerically rank deficient. The
+    system has n2 (n3 - 1) + 1 rows and r + n3 - 1 unknowns, so it is tall on
+    20x6x6 and wide on 12x5x3, where the step is the minimum-norm one.
+    The row is renormalized after each step. One ``eval_eig`` per iterate
+    gives both the next right-hand side and the acceptance value, its largest
+    block norm (``eig_residual``). Steps stop at the first that does not
+    lower it; the best iterate is returned with its residual.
     """
-    r = rt.rank
+    r, n2 = rt.rank, rt.slice_cols
     s = np.asarray(s_row, dtype=np.complex128).copy()
     lam = np.asarray(lambdas, dtype=np.complex128).copy()
-    best = (s, lam, eig_residual(s, lam, rt))
+    res = eval_eig(s, lam, rt)
+    best = (s, lam, _max_block_norm(res, n2))
     for _ in range(iters):
-        # gauge row: move within the unit sphere's tangent space
-        j = np.vstack([jac_eig(s, lam, rt), np.concatenate([s.conj(), np.zeros(lam.size)])])
-        rhs = -np.concatenate([eval_eig(s, lam, rt), [0.0]])
-        delta, _, _, _ = np.linalg.lstsq(j, rhs, rcond=None)
+        # rows n2 - 1 onward: the last row of block 1 is overwritten by the gauge row
+        j = jac_eig(s, lam, rt)[n2 - 1 :]
+        j[0, :r] = s.conj()
+        j[0, r:] = 0.0
+        b = -res[n2 - 1 :]
+        b[0] = 0.0
+        delta = _gn_step(j, b)
         s = s + delta[:r]
         nrm = np.linalg.norm(s)
-        if nrm == 0.0:
+        if not 0.0 < nrm < np.inf:
             break
         s = s / nrm
         lam = lam + delta[r:]
-        residual = eig_residual(s, lam, rt)
+        res = eval_eig(s, lam, rt)
+        residual = _max_block_norm(res, n2)
         if residual < best[2]:
             best = (s, lam, residual)
         else:

@@ -79,7 +79,8 @@ def dense_system(rt, found):
 def dense_solve(rt, found):
     """(vec(P0), N) from dense lstsq and SVD; InconsistentSystemError as in assembly."""
     a_hat, b_hat = dense_system(rt, found)
-    p_vec, residual, _ = least_squares_min_norm(a_hat, b_hat)
+    p_vec, _ = least_squares_min_norm(a_hat, b_hat)
+    residual = float(np.linalg.norm(a_hat @ p_vec - b_hat))
     scale = max(float(np.linalg.norm(b_hat)), 1e-300)
     if not residual_is_zero(residual, scale):
         raise InconsistentSystemError(f"dense residual {residual:.3e} vs scale {scale:.3e}")

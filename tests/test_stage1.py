@@ -17,6 +17,7 @@ from gpcpd.stage1 import (
     find_next_row,
     jac_eig,
     jac_fQ,
+    refine_row,
     run_stage1,
 )
 from gpcpd.lm import finite_difference_check
@@ -209,6 +210,39 @@ class TestJacFQ:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+class TestSharedPointState:
+    """jac_fQ reuses eval_fQ's state only at the same point; elsewhere it matches a fresh frame bit for bit."""
+
+    @pytest.mark.parametrize("n1, n2, n3, r, p", [ORACLE_SHAPES[1], ORACLE_SHAPES[3]])
+    def test_jacobian_after_evaluation_elsewhere(self, rng, n1, n2, n3, r, p):
+        rt, frame = oracle_frame(rng, n1, n2, n3, r, p)
+        x, y = complex_normal(rng, r - 1), complex_normal(rng, r - 1)
+        eval_fQ(y, frame, rt)
+        want = jac_fQ(x, SearchFrame.from_q(frame.Q, rt), rt)
+        assert np.array_equal(jac_fQ(x, frame, rt), want)
+
+    @pytest.mark.parametrize("n1, n2, n3, r, p", [ORACLE_SHAPES[1], ORACLE_SHAPES[3]])
+    def test_jacobian_after_rejected_trial(self, rng, n1, n2, n3, r, p):
+        # the LM order: residual at x, Jacobian at x, a trial x - delta that is not taken, Jacobian at x
+        rt, frame = oracle_frame(rng, n1, n2, n3, r, p)
+        fresh = SearchFrame.from_q(frame.Q, rt)
+        x = complex_normal(rng, r - 1)
+        f = eval_fQ(x, frame, rt)
+        assert np.array_equal(f, eval_fQ(x, fresh, rt))
+        want = jac_fQ(x, SearchFrame.from_q(frame.Q, rt), rt)
+        assert np.array_equal(jac_fQ(x, frame, rt), want)
+        eval_fQ(x - 0.5 * complex_normal(rng, r - 1), frame, rt)
+        assert np.array_equal(jac_fQ(x, frame, rt), want)
+
+    def test_point_changed_in_place_is_recomputed(self, rng):
+        rt, frame = oracle_frame(rng, 9, 4, 4, 9, 0)
+        x = complex_normal(rng, 8)
+        eval_fQ(x, frame, rt)
+        x[0] += 0.25
+        want = jac_fQ(x, SearchFrame.from_q(frame.Q, rt), rt)
+        assert np.array_equal(jac_fQ(x, frame, rt), want)
+
+
 class TestJacEig:
     @pytest.mark.parametrize("n1, n2, n3, r", [shape[:4] for shape in ORACLE_SHAPES if not shape[4]])
     def test_matches_loop_reference(self, rng, n1, n2, n3, r):
@@ -241,6 +275,61 @@ class TestJacEig:
         assert np.isclose(np.max(np.linalg.norm(blocks, axis=1)), eig_residual(s, lam, rt), rtol=1e-12)
         s_rows, lam_true, _ = planted_generating_data(tensor, triple, rt)
         assert np.linalg.norm(eval_eig(s_rows[0, :], lam_true[1:, 0], rt)) <= 1e-9 * rt.norm() * np.linalg.norm(s_rows[0, :])
+
+
+def perturbed_planted_row(rng, tensor, triple, rt, i, size=1e-6):
+    """Planted row i (unit norm) moved by a complex perturbation of the given size, with its eigenvalues."""
+    s_rows, lam, _ = planted_generating_data(tensor, triple, rt)
+    s = s_rows[i, :] / np.linalg.norm(s_rows[i, :])
+    s = s + size * complex_normal(rng, s.size)
+    s /= np.linalg.norm(s)
+    return s, lam[1:, i] + size * complex_normal(rng, rt.n_slices - 1)
+
+
+def lstsq_first_step(s, lam, rt):
+    """Reference step: gelsd on blocks k = 2 .. n3 of the eigen-equations plus the gauge row."""
+    r, n2 = rt.rank, rt.slice_cols
+    j = np.vstack([jac_eig(s, lam, rt)[n2:], np.concatenate([s.conj(), np.zeros(lam.size)])])
+    b = -np.concatenate([eval_eig(s, lam, rt)[n2:], [0.0]])
+    delta = np.linalg.lstsq(j, b, rcond=None)[0]
+    s_new = s + delta[:r]
+    return s_new / np.linalg.norm(s_new), lam + delta[r:]
+
+
+# (n1, n2, n3, r, k >= 2 system is tall): n2 (n3 - 1) + 1 rows against r + n3 - 1 unknowns
+REFINE_SHAPES = [(20, 6, 6, 20, True), (30, 8, 8, 30, True), (12, 5, 3, 12, False), (14, 5, 4, 14, False)]
+
+
+class TestRefineRow:
+    @pytest.mark.parametrize("n1, n2, n3, r, tall", REFINE_SHAPES)
+    def test_perturbed_planted_rows_reach_floor(self, rng, n1, n2, n3, r, tall):
+        tensor, triple, rt = make_rt(rng, n1, n2, n3, r)
+        assert (n2 * (n3 - 1) + 1 >= r + n3 - 1) == tall
+        for i in range(0, r, 3):
+            s, lam = perturbed_planted_row(rng, tensor, triple, rt, i)
+            s_out, lam_out, residual = refine_row(s, lam, rt)
+            assert residual <= 1e-12 * rt.norm()
+            assert residual == eig_residual(s_out, lam_out, rt)
+            assert np.linalg.norm(s_out) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n1, n2, n3, r, tall", REFINE_SHAPES)
+    def test_first_step_matches_lstsq(self, rng, n1, n2, n3, r, tall):
+        tensor, triple, rt = make_rt(rng, n1, n2, n3, r)
+        for i in range(0, r, 3):
+            s, lam = perturbed_planted_row(rng, tensor, triple, rt, i)
+            s_ref, lam_ref = lstsq_first_step(s, lam, rt)
+            s_got, lam_got, _ = refine_row(s, lam, rt, iters=1)
+            assert np.linalg.norm((s_got - s) - (s_ref - s)) <= 1e-8 * np.linalg.norm(s_ref - s)
+            assert np.linalg.norm((lam_got - lam) - (lam_ref - lam)) <= 1e-8 * np.linalg.norm(lam_ref - lam)
+
+    @pytest.mark.parametrize("n1, n2, n3, r, tall", REFINE_SHAPES)
+    def test_row_at_floor_comes_back_no_worse(self, rng, n1, n2, n3, r, tall):
+        tensor, triple, rt = make_rt(rng, n1, n2, n3, r)
+        s, lam = perturbed_planted_row(rng, tensor, triple, rt, 0)
+        s, lam, floor = refine_row(s, lam, rt, iters=10)
+        s_out, lam_out, residual = refine_row(s, lam, rt)
+        assert residual <= floor
+        assert eig_residual(s_out, lam_out, rt) <= floor
 
 
 class TestExtractEigenvalues:

@@ -24,7 +24,6 @@ from .exceptions import (
     GenericityError,
     GpcpdError,
     InconsistentSystemError,
-    SingularMatrixError,
     Stage2FailureError,
     UnsupportedRankError,
 )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DecompositionError
+from .exceptions import DecompositionError, DegenerateInputError
 from .linalg import as_rng
 from .tensors import FactorTriple, Tensor3, khatri_rao, mode_k_flatten
 
@@ -44,38 +44,29 @@ def als_decompose(f: Tensor3, r: int, seed=None) -> tuple[FactorTriple, np.ndarr
     real_input = f.is_real()
 
     for _ in range(_MAX_RESTARTS + 1):
-        u1, u2, u3 = _init_factors(f.dims, r, real_input, rng)
+        u = _init_factors(f.dims, r, real_input, rng)
         trace = []
         deficient = False
         prev = None
         for _ in range(_MAX_SWEEPS):
-            for mode in (1, 2, 3):
-                if mode == 1:
-                    a, target = khatri_rao(u2, u3), flats[0]
-                elif mode == 2:
-                    a, target = khatri_rao(u1, u3), flats[1]
-                else:
-                    a, target = khatri_rao(u1, u2), flats[2]
-                x, _, rank, _ = np.linalg.lstsq(a, target, rcond=None)
+            for mode in range(3):
+                # Khatri-Rao product of the other two factors, in ascending mode order
+                a = khatri_rao(*(u[k] for k in range(3) if k != mode))
+                x, _, rank, _ = np.linalg.lstsq(a, flats[mode], rcond=None)
                 if rank < r:
                     deficient = True
                     break
-                if mode == 1:
-                    u1 = x.T
-                elif mode == 2:
-                    u2 = x.T
-                else:
-                    u3 = x.T
+                u[mode] = x.T
             if deficient:
                 break
-            err = float(np.linalg.norm(flats[0] - khatri_rao(u2, u3) @ u1.T)) / fnorm
+            err = float(np.linalg.norm(flats[0] - khatri_rao(u[1], u[2]) @ u[0].T)) / fnorm
             trace.append(err)
             if prev is not None and prev - err <= _REL_CHANGE_TOL * max(err, 1e-300):
                 break
             prev = err
         if not deficient:
             try:
-                return FactorTriple(u1, u2, u3, r), np.asarray(trace)
-            except Exception:
+                return FactorTriple(*u, r), np.asarray(trace)
+            except DegenerateInputError:
                 continue  # collapsed column; restart
     raise DecompositionError("ALS restarts exhausted (rank-deficient Khatri-Rao systems)")

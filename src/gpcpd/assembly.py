@@ -25,10 +25,8 @@ from .exceptions import (
     ConditioningError,
     DecompositionError,
     DegenerateInputError,
-    DomainGuardViolation,
     GenericityError,
     InconsistentSystemError,
-    SingularMatrixError,
     Stage2FailureError,
     UnsupportedRankError,
 )
@@ -158,10 +156,8 @@ def _middle_rank_attempt(f: Tensor3, r: int, opts: SolveOptions, rng, deadline) 
 _RECOVERABLE = (
     AssemblyError,
     ConditioningError,
-    DomainGuardViolation,
     GenericityError,
     InconsistentSystemError,
-    SingularMatrixError,
     Stage2FailureError,
 )
 

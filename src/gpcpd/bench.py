@@ -129,7 +129,7 @@ def _seed_for(base: int, inst_idx: int, run_idx: int, purpose: int) -> int:
 
 
 def _run_task(task: dict) -> dict:
-    inst = BenchInstance(**task["instance"])
+    inst = task["instance"]
     method = task["method"]
     if inst.fixture is not None:
         tensor, _ = FIXTURES[inst.fixture]()
@@ -173,12 +173,7 @@ def _tasks(cfg: BenchConfig):
         for method in cfg.methods:
             for run_idx in range(inst.count):
                 yield {
-                    "instance": {
-                        "rank": inst.rank,
-                        "count": inst.count,
-                        "dims": inst.dims,
-                        "fixture": inst.fixture,
-                    },
+                    "instance": inst,  # a module-level dataclass, so it pickles for the worker pool
                     "method": method,
                     "run_idx": run_idx,
                     "tensor_seed": _seed_for(cfg.seed, inst_idx, run_idx, 0),

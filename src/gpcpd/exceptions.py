@@ -17,10 +17,6 @@ class FormatError(GpcpdError, ValueError):
     """A serialized tensor or factor file is malformed."""
 
 
-class SingularMatrixError(GpcpdError):
-    """Matrix is numerically singular at the configured tolerance."""
-
-
 class UnsupportedRankError(GpcpdError, ValueError):
     """Requested rank is outside the supported range (1 <= r <= n1)."""
 

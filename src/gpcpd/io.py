@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, FormatError
+from .exceptions import DegenerateInputError, DimensionMismatchError, FormatError
 from .tensors import FactorTriple, Tensor3
 
 
@@ -95,7 +95,7 @@ def factors_from_dict(obj) -> FactorTriple:
         mats[name] = _matrix_from_rows(obj[name], name, rank)
     try:
         return FactorTriple(mats["U1"], mats["U2"], mats["U3"], rank)
-    except Exception as exc:  # surface structural problems as format errors
+    except (DimensionMismatchError, DegenerateInputError) as exc:  # structural problems are format errors
         raise FormatError(str(exc)) from exc
 
 

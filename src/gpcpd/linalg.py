@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SingularMatrixError
-
 
 # singular values at or below RANK_REL_TOL * sigma_max count as zero
 RANK_REL_TOL = 1e-10
@@ -107,8 +105,6 @@ class LeftEig:
 
 def left_eigendecomposition(m: np.ndarray) -> LeftEig:
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SingularMatrixError(f"square matrix required, got {m.shape}")
     values, v = np.linalg.eig(m)
     try:
         s = np.linalg.inv(v)

@@ -77,9 +77,9 @@ class EigRowSet:
 class SearchFrame:
     """Unitary frame Q for one row search, with the slices rotated into it.
 
-    tq[a] = sum_i Q[i, a] T[i, :, :], so W = xbar^T x_1 T = sum_a y_a tq[a]
-    for xbar = Q y, y = [x; 1]. The other fields are the fixed blocks that
-    f_Q and its Jacobian read, laid out once per frame:
+    With tq[a] = sum_i Q[i, a] T[i, :, :], W = xbar^T x_1 T = sum_a y_a tq[a]
+    for xbar = Q y, y = [x; 1]. The other fields are the fixed blocks of tq
+    that f_Q and its Jacobian read, laid out once per frame:
 
     * ``qu`` = Q[:n2, :r-1] and ``qu_last`` = Q[:n2, r-1], so u = qu x + qu_last;
     * ``dw`` = d vec(W)/dx ((n2 n3) x (r-1), vec column-stacking) and
@@ -93,7 +93,6 @@ class SearchFrame:
     """
 
     Q: np.ndarray
-    tq: np.ndarray
     qu: np.ndarray
     qu_last: np.ndarray
     dw: np.ndarray
@@ -108,7 +107,6 @@ class SearchFrame:
         lead = tq[: r - 1]
         return cls(
             Q=q,
-            tq=tq,
             qu=np.ascontiguousarray(q[:n2, : r - 1]),
             qu_last=q[:n2, r - 1].copy(),
             dw=lead.transpose(2, 1, 0).reshape(n3 * n2, r - 1),

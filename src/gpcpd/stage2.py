@@ -33,7 +33,7 @@ from .lm import minimize
 from .options import Deadline
 from .preprocess import ReducedTensor
 from .stage1 import STARTS, EigRowSet, accept_row
-from .tensors import unvec, vec
+from .tensors import vec
 
 
 def _pairs(n3: int):
@@ -46,28 +46,25 @@ class Stage2System:
 
     ``A_hat`` holds the commuting factor K (m x q), the matrix whose SVD
     (with that of the small S^p) yields P0 and N; the dense stacked system
-    [K^T (x) I_r ; I_m (x) S^p] is never formed.
+    [K^T (x) I_r ; I_m (x) S^p] is never formed. ``P0[k - 2]`` is the
+    particular P_k, and row block k - 2 of N (r (r - n2) rows) holds vec(P_k).
     """
 
     A_hat: np.ndarray
-    P0: list  # particular solution, r x (r-n2) matrices for k = 2 .. n3
+    P0: np.ndarray  # (n3 - 1, r, r - n2) particular solution
     N: np.ndarray  # (r m) x d orthonormal null-space basis
-    N_blocks: list  # per-k row blocks of N
-    rank: int
-    n2: int
-    n3: int
 
     @property
     def d(self) -> int:
         return self.N.shape[1]
 
-    def pk_from_x(self, x: np.ndarray) -> list:
-        r, n2 = self.rank, self.n2
+    def pk_from_x(self, x: np.ndarray) -> np.ndarray:
+        """The P_k at x as an (n3 - 1, r, r - n2) stack, one product per row block of N."""
+        blocks, r, t = self.P0.shape
         x = np.asarray(x, dtype=np.complex128).reshape(-1)
-        return [
-            unvec(vec(p0) + nk @ x, (r, r - n2))
-            for p0, nk in zip(self.P0, self.N_blocks)
-        ]
+        vecs = (self.N.reshape(blocks, r * t, self.d) @ x).reshape(blocks, t, r)
+        vecs += self.P0.transpose(0, 2, 1)  # in place: each P_k stays column-major, as vec(P_k) is
+        return vecs.transpose(0, 2, 1)
 
 
 def commuting_factor(rt: ReducedTensor) -> tuple[np.ndarray, np.ndarray]:
@@ -152,19 +149,10 @@ def assemble_stage2(rt: ReducedTensor, found: EigRowSet) -> Stage2System:
     a_idx, b_idx = np.nonzero(~keep)
     # column c is conj(U_K[:, b_c]) (x) V_S[:, a_c]; C-contiguous so row blocks reshape as views
     n = (u_k[:, b_idx].conj()[:, None, :] * v_s[:, a_idx][None, :, :]).reshape(m * r, a_idx.size)
-    width = r * t
-    return Stage2System(
-        A_hat=k,
-        P0=[p0_mat[:, c * t : (c + 1) * t] for c in range(n3 - 1)],
-        N=n,
-        N_blocks=[n[c * width : (c + 1) * width, :] for c in range(n3 - 1)],
-        rank=r,
-        n2=n2,
-        n3=n3,
-    )
+    return Stage2System(A_hat=k, P0=p0_mat.reshape(r, n3 - 1, t).transpose(1, 0, 2), N=n)
 
 
-def _m_matrices(rt: ReducedTensor, pks: list) -> list:
+def _m_matrices(rt: ReducedTensor, pks: np.ndarray) -> list:
     return [np.concatenate([rt.slice(k), pks[k - 2]], axis=1) for k in range(2, rt.n_slices + 1)]
 
 
@@ -174,7 +162,7 @@ def eval_g(x: np.ndarray, sys: Stage2System, rt: ReducedTensor) -> np.ndarray:
     ms = _m_matrices(rt, pks)
     parts = [
         vec(ms[i - 2] @ pks[j - 2] - ms[j - 2] @ pks[i - 2])
-        for (i, j) in _pairs(sys.n3)
+        for (i, j) in _pairs(rt.n_slices)
     ]
     if not parts:
         return np.zeros(0, dtype=np.complex128)
@@ -190,12 +178,12 @@ def jac_g(x: np.ndarray, sys: Stage2System, rt: ReducedTensor) -> np.ndarray:
     the first axis of N_k and (I (x) M) N_k is M @ N_k: no Kronecker factor is
     formed.
     """
-    r, n2, d = sys.rank, sys.n2, sys.d
+    r, n2, n3, d = rt.rank, rt.slice_cols, rt.n_slices, sys.d
     t = r - n2
     pks = sys.pk_from_x(x)
     ms = _m_matrices(rt, pks)
-    nks = [nk.reshape(t, r, d) for nk in sys.N_blocks]
-    pair_list = _pairs(sys.n3)
+    nks = sys.N.reshape(n3 - 1, t, r, d)
+    pair_list = _pairs(n3)
     out = np.empty((len(pair_list), t, r, d), dtype=np.complex128)
     for row, (i, j) in enumerate(pair_list):
         ni, nj = nks[i - 2], nks[j - 2]

@@ -94,14 +94,6 @@ class FactorTriple:
     def dims(self) -> tuple[int, int, int]:
         return (self.U1.shape[0], self.U2.shape[0], self.U3.shape[0])
 
-    def scale_columns(self, c1, c2, c3) -> "FactorTriple":
-        """Rescale factor columns; the represented tensor changes by c1*c2*c3 per column."""
-        return FactorTriple(self.U1 * c1, self.U2 * c2, self.U3 * c3, self.rank)
-
-    def permute_columns(self, perm) -> "FactorTriple":
-        perm = np.asarray(perm)
-        return FactorTriple(self.U1[:, perm], self.U2[:, perm], self.U3[:, perm], self.rank)
-
 
 @dataclass(frozen=True)
 class DecompReport:
@@ -188,10 +180,6 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization (matches vec(AXB) = (B^T kron A) vec(X))."""
     return np.asarray(m).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, shape) -> np.ndarray:
-    return np.asarray(v).reshape(shape, order="F")
 
 
 def relative_error(t: Tensor3, f: FactorTriple) -> float:

@@ -228,7 +228,7 @@ class TestDecompose:
         tensor, _ = planted_instance(rng, 6, 4, 3, 5)
         factors, _ = decompose(tensor, 5, SolveOptions(seed=3))
         c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        scaled = factors.scale_columns(c, 1.0 / c, np.ones(5))
+        scaled = FactorTriple(factors.U1 * c, factors.U2 / c, factors.U3, 5)
         a = cpd_to_tensor(factors)
         b = cpd_to_tensor(scaled)
         assert np.linalg.norm(a.data - b.data) <= 1e-12 * a.norm()

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import gpcpd.stage1 as stage1
-from gpcpd import DomainGuardViolation, SolveOptions, fixture_example41, fixture_example42
+from gpcpd import (
+    DecompositionError,
+    DecompReport,
+    DomainGuardViolation,
+    SolveOptions,
+    decompose,
+    fixture_example41,
+    fixture_example42,
+    gen_random_rank_r,
+)
 from gpcpd.linalg import RESIDUAL_ZERO_TOL, complex_normal
 from gpcpd.preprocess import ReducedTensor, build_reduced_tensor
 from gpcpd.stage1 import (
@@ -26,18 +35,24 @@ from gpcpd.tensors import Tensor3
 from conftest import planted_generating_data, planted_instance
 
 
+def rotated_slices(frame, rt):
+    """tq[a] = sum_i Q[i, a] T[i, :, :]: the reduced slices in the frame's coordinates."""
+    return np.tensordot(frame.Q, rt.T.data, axes=([0], [0]))
+
+
 def jac_fQ_loop(x, frame, rt):
     """Reference: the column-by-column Jacobian of eval_fQ, four outer products per column."""
     r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
+    tq = rotated_slices(frame, rt)
     y = np.concatenate([x, [1.0]])
     u = (frame.Q @ y)[:n2]
     s = u @ u
-    w = np.tensordot(y, frame.tq, axes=([0], [0]))
+    w = np.tensordot(y, tq, axes=([0], [0]))
     uw = u @ w
     cols = np.empty((n2 * n3, r - 1), dtype=np.complex128)
     for j in range(r - 1):
         du = frame.Q[:n2, j]
-        dw = frame.tq[j]
+        dw = tq[j]
         ds = 2.0 * (u @ du)
         dzw = (
             -(np.outer(du, uw) + np.outer(u, du @ w)) / s
@@ -54,7 +69,7 @@ def eval_fQ_direct(x, frame, rt):
     n2 = rt.slice_cols
     y = np.concatenate([x, [1.0]])
     u = (frame.Q @ y)[:n2]
-    w = np.tensordot(y, frame.tq, axes=([0], [0]))
+    w = np.tensordot(y, rotated_slices(frame, rt), axes=([0], [0]))
     return (w - np.outer(u, u @ w) / (u @ u)).reshape(-1, order="F")
 
 
@@ -451,3 +466,28 @@ def test_zero_set_equivalence(rng):
         a = np.linalg.norm(eval_fQ(x, frame, rt))
         b = eig_gap(xbar)
         assert (a <= tol * scale) == (b <= 10 * tol * scale)
+
+
+@pytest.mark.parametrize("dims, r, cap", [((9, 4, 4), 9, None), ((12, 4, 4), 12, 9)])
+def test_domain_guard_violation_stays_inside_stage1(monkeypatch, dims, r, cap):
+    # a wide guard band makes the projector guard fire often, in the row search and the polish
+    monkeypatch.setattr(stage1, "_EPS_ISO", 0.5)
+    fired = []
+    guard = stage1._guard
+
+    def counting(u):
+        try:
+            return guard(u)
+        except DomainGuardViolation:
+            fired.append(1)
+            raise
+
+    monkeypatch.setattr(stage1, "_guard", counting)
+    tensor, _ = gen_random_rank_r(*dims, r, seed=7)
+    try:
+        _, report = decompose(tensor, r, SolveOptions(seed=7, time_limit=2, stage1_max_rows=cap))
+    except DecompositionError:
+        pass  # no attempt produced factors: a typed failure, not a leaked guard violation
+    else:
+        assert isinstance(report, DecompReport)
+    assert fired

@@ -33,13 +33,14 @@ from dense_stage2 import (
 
 def jac_g_kron(x, sys2, rt):
     """Reference: the commutation Jacobian built pair by pair from dense Kronecker factors."""
-    r, n2 = sys2.rank, sys2.n2
+    r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
     pks = sys2.pk_from_x(x)
     ms = _m_matrices(rt, pks)
     eye_r = np.eye(r)
     eye_t = np.eye(r - n2)
-    pair_list = _pairs(sys2.n3)
+    pair_list = _pairs(n3)
     block_rows = r * (r - n2)
+    n_blocks = sys2.N.reshape(n3 - 1, block_rows, sys2.d)
     out = np.zeros((block_rows * len(pair_list), sys2.d), dtype=np.complex128)
     for row, (i, j) in enumerate(pair_list):
         pi, pj = pks[i - 2], pks[j - 2]
@@ -47,23 +48,18 @@ def jac_g_kron(x, sys2, rt):
         d_pi = np.kron(pj[n2:, :].T, eye_r) - np.kron(eye_t, mj)
         d_pj = np.kron(eye_t, mi) - np.kron(pi[n2:, :].T, eye_r)
         rows = slice(row * block_rows, (row + 1) * block_rows)
-        out[rows, :] = d_pi @ sys2.N_blocks[i - 2] + d_pj @ sys2.N_blocks[j - 2]
+        out[rows, :] = d_pi @ n_blocks[i - 2] + d_pj @ n_blocks[j - 2]
     return out
 
 
 def random_system(rng, rt, d):
     """A Stage2System with random P0 and N: the Jacobian identity needs no assembly."""
     r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
-    width = r * (r - n2)
-    n = complex_normal(rng, (width * (n3 - 1), d))
+    n = complex_normal(rng, (r * (r - n2) * (n3 - 1), d))
     return Stage2System(
         A_hat=np.zeros(((r - n2) * (n3 - 1), 0), dtype=complex),
-        P0=[complex_normal(rng, (r, r - n2)) for _ in range(n3 - 1)],
+        P0=np.array([complex_normal(rng, (r, r - n2)) for _ in range(n3 - 1)]),
         N=n,
-        N_blocks=[n[k * width : (k + 1) * width, :] for k in range(n3 - 1)],
-        rank=r,
-        n2=n2,
-        n3=n3,
     )
 
 

@@ -226,7 +226,7 @@ class TestRelativeError:
 
     def test_zero_approximation_gives_one(self, rng):
         t, f = planted_instance(rng, 3, 3, 2, 2)
-        tiny = f.scale_columns(1e-200, 1e-200, 1e-200)
+        tiny = FactorTriple(f.U1 * 1e-200, f.U2 * 1e-200, f.U3 * 1e-200, 2)
         assert relative_error(t, tiny) == 1.0
 
     def test_zero_tensor_rejected(self, rng):

@@ -54,12 +54,28 @@ OFFDIAG_TOL = 1e-6  # off-diagonal mass of S M_k S^{-1}, relative, still counted
 _MAX_RETRIES = 5  # attempts after the first, each on randomly mixed modes
 
 
+def _khatri_rao_lls(a: np.ndarray, b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (a kr b) X = rhs; returns X^T."""
+    x, deficient = least_squares_min_norm(khatri_rao(a, b), rhs)
+    if deficient:
+        raise AssemblyError("Khatri-Rao matrix is column rank deficient")
+    return x.T
+
+
 def recover_U1_lls(u2: np.ndarray, u3: np.ndarray, f: Tensor3) -> np.ndarray:
     """Solve (U2 kr U3) X = Flatten(f, 1)^T for U1 = X^T."""
-    x, deficient = least_squares_min_norm(khatri_rao(u2, u3), mode_k_flatten(f, 1).T)
-    if deficient:
-        raise AssemblyError("Khatri-Rao matrix of U2, U3 is column rank deficient")
-    return x.T
+    return _khatri_rao_lls(u2, u3, mode_k_flatten(f, 1).T)
+
+
+def _recover_U2_compressed(u1: np.ndarray, u3: np.ndarray, f: Tensor3) -> np.ndarray:
+    """Solve (U1 kr U3) X = Flatten(f, 2)^T for U2 = X^T, compressed to r n3 rows.
+
+    With U1 = Q1 R1, U1 kr U3 = (I kron Q1)(R1 kr U3): the isometry keeps the
+    singular values and the minimum-norm solution, so solve on f x_1 Q1^H.
+    """
+    q1, r1 = np.linalg.qr(u1)
+    g = np.tensordot(q1.conj().T, f.data, axes=([1], [0]))  # (r, n2, n3)
+    return _khatri_rao_lls(r1, u3, np.transpose(g, (1, 2, 0)).reshape(f.dims[1], -1).T)
 
 
 def decomposition_from_eigmatrix(rows: EigRowSet, f: Tensor3, rt: ReducedTensor) -> FactorTriple:
@@ -112,16 +128,10 @@ def _factors_from_reduced_eigmatrix(rows: EigRowSet, f: Tensor3, r: int) -> Fact
     """Low-rank assembly: the reduced slices are square, so S gives the leading
     r x r block of U2; U1 then comes from mode-1 least squares on f[:, :r, :]
     and the full U2 from mode-2 least squares on f."""
-    s = rows.stacked()
-    u2_lead = s.T  # r x r
     u3 = rows.lambda_matrix()
-    sub = Tensor3(f.data[:, :r, :])
-    u1 = recover_U1_lls(u2_lead, u3, sub)
-    a = khatri_rao(u1, u3)  # mode-2 system: Flatten(f, 2)^T = (U1 kr U3) U2^T
-    x, deficient = least_squares_min_norm(a, mode_k_flatten(f, 2).T)
-    if deficient:
-        raise AssemblyError("mode-2 Khatri-Rao matrix rank deficient")
-    return FactorTriple(u1, x.T, u3, r)
+    sub = np.transpose(f.data[:, :r, :], (0, 2, 1)).reshape(f.dims[0], -1)  # Flatten(f[:, :r, :], 1)
+    u1 = _khatri_rao_lls(rows.stacked().T, u3, sub.T)
+    return FactorTriple(u1, _recover_U2_compressed(u1, u3, f), u3, r)
 
 
 def gevd_lowrank_decompose(f: Tensor3, r: int, rng=None) -> FactorTriple:
@@ -178,10 +188,15 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
         raise UnsupportedRankError(f"rank {r!r} unsupported for dims {dims}: need an integer 1 <= r <= {max(dims)}")
     order = tuple(np.argsort([-d for d in dims], kind="stable"))
     work0 = f.permute_modes(order)
+    amax = float(np.max(np.abs(work0.data)))
+    if amax == 0.0:
+        raise DegenerateInputError("cannot decompose the zero tensor")
+    # norm() squares entries: pre-scale by max|x| only where that over- or underflows
+    prescale = not 2.0**-400 < amax < 2.0**400
+    if prescale:
+        work0 = Tensor3(work0.data / amax)
     # unit RMS entry scale keeps the Gaussian augmentation block commensurate
     sigma = work0.norm() / np.sqrt(work0.data.size)
-    if sigma == 0.0:
-        raise DegenerateInputError("cannot decompose the zero tensor")
     work0 = Tensor3(work0.data / sigma)
     n2 = work0.dims[1]
     lowrank = r <= n2
@@ -189,6 +204,7 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
     master = np.random.SeedSequence(opts.seed)
     best: tuple[float, FactorTriple, str] | None = None
     attempts = 0
+    last_error: Exception | None = None
     for attempt in range(_MAX_RETRIES + 1):
         if attempt > 0 and deadline.exceeded():
             break
@@ -205,7 +221,8 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
                 factors, stage = gevd_lowrank_decompose(work, r, rng), "lowrank-gevd"
             else:
                 factors, stage = _middle_rank_attempt(work, r, opts, rng, deadline)
-        except _RECOVERABLE:
+        except _RECOVERABLE as exc:
+            last_error = exc
             continue
         if mix:
             u2 = factors.U2 if w2 is None else w2.conj().T @ factors.U2
@@ -217,13 +234,13 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
             break
 
     if best is None:
-        raise DecompositionError(f"no candidate decomposition after {attempts} attempts")
+        last = f"{type(last_error).__name__}: {last_error}"
+        raise DecompositionError(f"no candidate decomposition after {attempts} attempts; last error {last}")
     err, factors, stage = best
     # undo normalization and mode sorting
-    factors = FactorTriple(factors.U1 * sigma, factors.U2, factors.U3, r)
-    inverse = tuple(np.argsort(order))
-    mats = [factors.U1, factors.U2, factors.U3]
-    factors = FactorTriple(mats[inverse[0]], mats[inverse[1]], mats[inverse[2]], r)
+    u1 = factors.U1 * sigma
+    mats = [u1 * amax if prescale else u1, factors.U2, factors.U3]
+    factors = FactorTriple(*(mats[i] for i in np.argsort(order)), r)
     report = DecompReport(
         err_rel=err,
         stage_used=stage,

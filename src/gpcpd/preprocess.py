@@ -76,7 +76,7 @@ def build_reduced_tensor(f: Tensor3, r: int, seed=None) -> ReducedTensor:
     if fhat is None:
         raise ConditioningError(f"augmented first slice stayed ill-conditioned (cond ~ {cond:.2e})")
     p = np.linalg.inv(fhat)
-    t = mode_t_matrix_product(p, Tensor3(f.data[:r, :, :]), mode=1)
+    t = Tensor3(np.tensordot(p, f.data[:r, :, :], axes=([1], [0])))
     return ReducedTensor(T=t, P=p, C=c, rank=r, cond_fhat=float(cond))
 
 
@@ -90,7 +90,7 @@ def build_reduced_tensor_lowrank(f: Tensor3, r: int) -> ReducedTensor:
     if spectrum_deficient(sv):
         raise GenericityError("leading r x r block of the first slice is numerically singular")
     p = np.linalg.inv(lead)
-    t = mode_t_matrix_product(p, Tensor3(f.data[:r, :r, :]), mode=1)
+    t = Tensor3(np.tensordot(p, f.data[:r, :r, :], axes=([1], [0])))
     return ReducedTensor(
         T=t,
         P=p,

@@ -51,6 +51,8 @@ class Tensor3:
 
     def permute_modes(self, perm) -> "Tensor3":
         """Reorder modes; ``perm[i]`` is the source mode of new mode i (0-based)."""
+        if tuple(perm) == (0, 1, 2):
+            return self  # immutable, so the identity needs no copy
         return Tensor3(np.transpose(self.data, perm))
 
     def is_real(self) -> bool:

@@ -14,12 +14,13 @@ from gpcpd import (
     relative_error,
 )
 from gpcpd.assembly import (
+    _recover_U2_compressed,
     decomposition_from_eigmatrix,
     eigmatrix_from_pkset,
     gevd_lowrank_decompose,
     recover_U1_lls,
 )
-from gpcpd.linalg import complex_normal, random_unitary
+from gpcpd.linalg import complex_normal, least_squares_min_norm, random_unitary
 from gpcpd.preprocess import build_reduced_tensor, build_reduced_tensor_lowrank
 from gpcpd.stage1 import run_stage1
 from gpcpd.tensors import khatri_rao, mode_k_flatten, mode_t_matrix_product
@@ -52,6 +53,36 @@ class TestRecoverU1:
         wrong = random_triple(rng, 6, 4, 3, 4)
         u1 = recover_U1_lls(wrong.U2, wrong.U3, tensor)
         assert u1_rel_residual(u1, wrong.U2, wrong.U3, tensor) > 1e-2
+
+
+class TestRecoverU2Compressed:
+    @pytest.mark.parametrize("dims", [(60, 30, 12, 25), (40, 20, 10, 15), (8, 5, 4, 3), (6, 6, 3, 6)])
+    def test_matches_dense_mode2_solve(self, rng, dims):
+        # a generic tensor: the least-squares residual is not zero, so the
+        # compression must also drop the part of f outside range(U1) exactly
+        n1, n2, n3, r = dims
+        f = Tensor3(complex_normal(rng, (n1, n2, n3)))
+        u1, u3 = complex_normal(rng, (n1, r)), complex_normal(rng, (n3, r))
+        dense, deficient = least_squares_min_norm(khatri_rao(u1, u3), mode_k_flatten(f, 2).T)
+        assert not deficient
+        u2 = _recover_U2_compressed(u1, u3, f)
+        assert np.linalg.norm(u2 - dense.T) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_planted_recovery(self, rng):
+        tensor, triple = planted_instance(rng, 7, 5, 4, 4, complex_entries=True)
+        u2 = _recover_U2_compressed(triple.U1, triple.U3, tensor)
+        assert np.linalg.norm(u2 - triple.U2) <= 1e-10 * np.linalg.norm(triple.U2)
+
+    def test_deficient_khatri_rao_rejected_in_both_forms(self, rng):
+        # equal columns 0 and 1 in both U1 and U3 give equal Khatri-Rao columns
+        f = Tensor3(complex_normal(rng, (8, 5, 4)))
+        u1, u3 = complex_normal(rng, (8, 3)), complex_normal(rng, (4, 3))
+        u1[:, 1], u3[:, 1] = u1[:, 0], u3[:, 0]
+        with pytest.raises(AssemblyError):
+            # Flatten(f, 2) is the mode-1 flattening of f with modes 1 and 2 swapped
+            recover_U1_lls(u1, u3, f.permute_modes((1, 0, 2)))
+        with pytest.raises(AssemblyError):
+            _recover_U2_compressed(u1, u3, f)
 
 
 class TestDecompositionFromEigmatrix:
@@ -298,6 +329,32 @@ def test_invariance_to_global_scale_and_unitary_mixing(case, transform):
     factors, report = decompose(moved, r, SolveOptions(seed=seed))
     assert report.success and report.err_rel <= 1e-6
     assert relative_error(moved, factors) <= 1e-6
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANCE_CASES))
+@pytest.mark.parametrize("c", [1e160, 1e200, 1e300, 1e-160, 1e-200, 1e-300])
+def test_extreme_global_scale(case, c):
+    # ||c T||^2 over- or underflows here; the factors carry c, so dividing one
+    # factor by it must reproduce T itself
+    (n1, n2, n3, r), seed = INVARIANCE_CASES[case]
+    tensor, _ = planted_instance(np.random.default_rng(seed), n1, n2, n3, r, complex_entries=True)
+    factors, report = decompose(Tensor3(c * tensor.data), r, SolveOptions(seed=seed))
+    assert report.success and report.err_rel <= 1e-6
+    unscaled = FactorTriple(factors.U1 / c, factors.U2, factors.U3, r)
+    assert relative_error(tensor, unscaled) <= 1e-6
+
+
+def test_decomposition_error_names_last_attempt_error(rng, monkeypatch):
+    import gpcpd.assembly as assembly
+    from gpcpd import ConditioningError
+
+    def failing(*args, **kwargs):
+        raise ConditioningError("probe")
+
+    monkeypatch.setattr(assembly, "build_reduced_tensor", failing)
+    tensor, _ = planted_instance(rng, 6, 4, 3, 5)
+    with pytest.raises(DecompositionError, match="ConditioningError: probe"):
+        decompose(tensor, 5, SolveOptions(seed=3))
 
 
 def test_time_limit_is_cooperative(rng):

@@ -68,6 +68,13 @@ class TestTensor3:
         with pytest.raises(ValueError):
             t.data[0, 0, 0] = 1.0
 
+    def test_identity_permutation_returns_same_tensor(self, rng):
+        t = Tensor3(rng.standard_normal((4, 3, 2)))
+        assert t.permute_modes((0, 1, 2)) is t
+        assert t.permute_modes(np.argsort([-4, -3, -2], kind="stable")) is t
+        moved = t.permute_modes((1, 0, 2))
+        assert moved is not t and moved.dims == (3, 4, 2)
+
 
 class TestFactorTriple:
     def test_rejects_zero_column(self):

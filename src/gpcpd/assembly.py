@@ -3,7 +3,8 @@
 A complete eigenmatrix S of the reduced slices yields factors of the original
 tensor directly: U2 = (S[:, :n2])^T, U3 stacks the eigenvalue rows (first row
 all ones), and U1 solves the mode-1 least-squares system
-(U2 kr U3) U1^T = Flatten(F, 1)^T. The pipeline routes by rank:
+(U2 kr U3) U1^T = Flatten(F, 1)^T; on the low-rank route S is square and U1
+and U2 are read through S^{-1} instead. The pipeline routes by rank:
 
 * r <= n2: eigendecomposition of a random combination of the square reduced
   slices (generalized-eigenvalue style);
@@ -54,28 +55,12 @@ OFFDIAG_TOL = 1e-6  # off-diagonal mass of S M_k S^{-1}, relative, still counted
 _MAX_RETRIES = 5  # attempts after the first, each on randomly mixed modes
 
 
-def _khatri_rao_lls(a: np.ndarray, b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (a kr b) X = rhs; returns X^T."""
-    x, deficient = least_squares_min_norm(khatri_rao(a, b), rhs)
+def recover_U1_lls(u2: np.ndarray, u3: np.ndarray, f: Tensor3) -> np.ndarray:
+    """Solve (U2 kr U3) X = Flatten(f, 1)^T for U1 = X^T."""
+    x, deficient = least_squares_min_norm(khatri_rao(u2, u3), mode_k_flatten(f, 1).T)
     if deficient:
         raise AssemblyError("Khatri-Rao matrix is column rank deficient")
     return x.T
-
-
-def recover_U1_lls(u2: np.ndarray, u3: np.ndarray, f: Tensor3) -> np.ndarray:
-    """Solve (U2 kr U3) X = Flatten(f, 1)^T for U1 = X^T."""
-    return _khatri_rao_lls(u2, u3, mode_k_flatten(f, 1).T)
-
-
-def _recover_U2_compressed(u1: np.ndarray, u3: np.ndarray, f: Tensor3) -> np.ndarray:
-    """Solve (U1 kr U3) X = Flatten(f, 2)^T for U2 = X^T, compressed to r n3 rows.
-
-    With U1 = Q1 R1, U1 kr U3 = (I kron Q1)(R1 kr U3): the isometry keeps the
-    singular values and the minimum-norm solution, so solve on f x_1 Q1^H.
-    """
-    q1, r1 = np.linalg.qr(u1)
-    g = np.tensordot(q1.conj().T, f.data, axes=([1], [0]))  # (r, n2, n3)
-    return _khatri_rao_lls(r1, u3, np.transpose(g, (1, 2, 0)).reshape(f.dims[1], -1).T)
 
 
 def decomposition_from_eigmatrix(rows: EigRowSet, f: Tensor3, rt: ReducedTensor) -> FactorTriple:
@@ -120,18 +105,27 @@ def eigmatrix_from_pkset(ms: list, rt: ReducedTensor, rng=None) -> EigRowSet:
             last_error = f"off-diagonal mass {off[bad[0]]:.2e} too large for slice {bad[0] + 2}"
             continue
         lambdas = diag.T.copy()  # (r, n3 - 1)
-        return EigRowSet(rows=[CommonEigRow(s=s[i, :], lambdas=lambdas[i, :]) for i in range(r)], target=r)
+        rows = [CommonEigRow(s=s[i, :], lambdas=lambdas[i, :]) for i in range(r)]
+        return EigRowSet(rows=rows, target=r, s_inv=eig.S_inv)
     raise AssemblyError(f"simultaneous diagonalization failed: {last_error}")
 
 
 def _factors_from_reduced_eigmatrix(rows: EigRowSet, f: Tensor3, r: int) -> FactorTriple:
-    """Low-rank assembly: the reduced slices are square, so S gives the leading
-    r x r block of U2; U1 then comes from mode-1 least squares on f[:, :r, :]
-    and the full U2 from mode-2 least squares on f."""
+    """Low-rank assembly through the eigenbasis S = U2[:r]^T of the square reduced slices.
+
+    f[:, :r, k] S^{-1} = U1 diag(U3[k]) and, with U1 = Q1 R1,
+    R1^{-1} Q1^H f[:, :, k] = diag(U3[k]) U2^T; column j of U1 (of U2) is the
+    least-squares fit over k in the scalar U3[k, j], exact for a rank-r f.
+    """
     u3 = rows.lambda_matrix()
-    sub = np.transpose(f.data[:, :r, :], (0, 2, 1)).reshape(f.dims[0], -1)  # Flatten(f[:, :r, :], 1)
-    u1 = _khatri_rao_lls(rows.stacked().T, u3, sub.T)
-    return FactorTriple(u1, _recover_U2_compressed(u1, u3, f), u3, r)
+    w = u3.conj() / np.sum(np.abs(u3) ** 2, axis=0)  # U3's first row is all ones
+    # U1[:, j] = sum_{i, k} f[:, i, k] S^{-1}[i, j] w[k, j]
+    u1 = f.data[:, :r, :].reshape(f.dims[0], -1) @ khatri_rao(w, rows.s_inv)
+    q1, r1 = np.linalg.qr(u1)
+    if rank_deficient(r1):
+        raise AssemblyError("U1 is column rank deficient")
+    g = np.tensordot(np.linalg.solve(r1, q1.conj().T), f.data, axes=([1], [0]))  # R1^{-1} Q1^H f[:, :, k]
+    return FactorTriple(u1, np.einsum("jbk,kj->bj", g, w), u3, r)
 
 
 def gevd_lowrank_decompose(f: Tensor3, r: int, rng=None) -> FactorTriple:
@@ -143,13 +137,9 @@ def gevd_lowrank_decompose(f: Tensor3, r: int, rng=None) -> FactorTriple:
     if ms:
         rows = eigmatrix_from_pkset(ms, rt, rng)
     else:  # single slice: T_1 = I_r, any basis diagonalizes it
-        rows = EigRowSet(
-            rows=[
-                CommonEigRow(s=np.eye(r, dtype=np.complex128)[i], lambdas=np.zeros(0, dtype=np.complex128))
-                for i in range(r)
-            ],
-            target=r,
-        )
+        eye = np.eye(r, dtype=np.complex128)
+        no_lambdas = np.zeros(0, dtype=np.complex128)
+        rows = EigRowSet(rows=[CommonEigRow(s=eye[i], lambdas=no_lambdas) for i in range(r)], target=r, s_inv=eye)
     return _factors_from_reduced_eigmatrix(rows, f, r)
 
 

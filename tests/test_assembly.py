@@ -14,7 +14,7 @@ from gpcpd import (
     relative_error,
 )
 from gpcpd.assembly import (
-    _recover_U2_compressed,
+    _factors_from_reduced_eigmatrix,
     decomposition_from_eigmatrix,
     eigmatrix_from_pkset,
     gevd_lowrank_decompose,
@@ -22,7 +22,7 @@ from gpcpd.assembly import (
 )
 from gpcpd.linalg import complex_normal, least_squares_min_norm, random_unitary
 from gpcpd.preprocess import build_reduced_tensor, build_reduced_tensor_lowrank
-from gpcpd.stage1 import run_stage1
+from gpcpd.stage1 import CommonEigRow, EigRowSet, run_stage1
 from gpcpd.tensors import khatri_rao, mode_k_flatten, mode_t_matrix_product
 
 from conftest import planted_generating_data, planted_instance, random_triple
@@ -48,6 +48,14 @@ class TestRecoverU1:
         assert u1_rel_residual(u1, triple.U2, triple.U3, tensor) <= 1e-10
         assert np.linalg.norm(u1 - triple.U1) <= 1e-9 * np.linalg.norm(triple.U1)
 
+    def test_deficient_khatri_rao_rejected(self, rng):
+        # equal columns 0 and 1 in both U2 and U3 give equal Khatri-Rao columns
+        f = Tensor3(complex_normal(rng, (8, 5, 4)))
+        u2, u3 = complex_normal(rng, (5, 3)), complex_normal(rng, (4, 3))
+        u2[:, 1], u3[:, 1] = u2[:, 0], u3[:, 0]
+        with pytest.raises(AssemblyError):
+            recover_U1_lls(u2, u3, f)
+
     def test_wrong_factors_leave_large_residual(self, rng):
         tensor, _ = planted_instance(rng, 6, 4, 3, 4)
         wrong = random_triple(rng, 6, 4, 3, 4)
@@ -55,34 +63,72 @@ class TestRecoverU1:
         assert u1_rel_residual(u1, wrong.U2, wrong.U3, tensor) > 1e-2
 
 
-class TestRecoverU2Compressed:
-    @pytest.mark.parametrize("dims", [(60, 30, 12, 25), (40, 20, 10, 15), (8, 5, 4, 3), (6, 6, 3, 6)])
+LOWRANK_SHAPES = [(60, 30, 12, 25), (40, 20, 10, 15), (8, 5, 4, 3), (6, 6, 3, 6), (5, 4, 1, 3), (7, 7, 7, 7)]
+
+
+class TestLowrankFactors:
+    @pytest.mark.parametrize("dims", LOWRANK_SHAPES[:4])
     def test_matches_dense_mode2_solve(self, rng, dims):
-        # a generic tensor: the least-squares residual is not zero, so the
-        # compression must also drop the part of f outside range(U1) exactly
+        # for a rank-r tensor U2 is the mode-2 Khatri-Rao least-squares solution
+        # given U1 and U3; on other tensors the eigenbasis fit differs from it
         n1, n2, n3, r = dims
-        f = Tensor3(complex_normal(rng, (n1, n2, n3)))
-        u1, u3 = complex_normal(rng, (n1, r)), complex_normal(rng, (n3, r))
-        dense, deficient = least_squares_min_norm(khatri_rao(u1, u3), mode_k_flatten(f, 2).T)
+        tensor, _ = planted_instance(rng, n1, n2, n3, r, complex_entries=True)
+        factors = gevd_lowrank_decompose(tensor, r, rng)
+        dense, deficient = least_squares_min_norm(khatri_rao(factors.U1, factors.U3), mode_k_flatten(tensor, 2).T)
         assert not deficient
-        u2 = _recover_U2_compressed(u1, u3, f)
-        assert np.linalg.norm(u2 - dense.T) <= 1e-12 * np.linalg.norm(dense)
+        assert np.linalg.norm(factors.U2 - dense.T) <= 1e-10 * np.linalg.norm(dense)
 
-    def test_planted_recovery(self, rng):
-        tensor, triple = planted_instance(rng, 7, 5, 4, 4, complex_entries=True)
-        u2 = _recover_U2_compressed(triple.U1, triple.U3, tensor)
-        assert np.linalg.norm(u2 - triple.U2) <= 1e-10 * np.linalg.norm(triple.U2)
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("dims", LOWRANK_SHAPES, ids=lambda d: "{}x{}x{}r{}".format(*d))
+    def test_planted_recovery(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        n1, n2, n3, r = dims
+        tensor, triple = planted_instance(rng, n1, n2, n3, r, complex_entries=True)
+        factors = gevd_lowrank_decompose(tensor, r, rng)
+        assert relative_error(tensor, factors) <= 1e-11
+        # a matrix (n3 = 1) has no essentially unique rank-r factorization to compare with
+        assert n3 == 1 or triples_equivalent(triple, factors)
 
-    def test_deficient_khatri_rao_rejected_in_both_forms(self, rng):
-        # equal columns 0 and 1 in both U1 and U3 give equal Khatri-Rao columns
-        f = Tensor3(complex_normal(rng, (8, 5, 4)))
-        u1, u3 = complex_normal(rng, (8, 3)), complex_normal(rng, (4, 3))
-        u1[:, 1], u3[:, 1] = u1[:, 0], u3[:, 0]
-        with pytest.raises(AssemblyError):
-            # Flatten(f, 2) is the mode-1 flattening of f with modes 1 and 2 swapped
-            recover_U1_lls(u1, u3, f.permute_modes((1, 0, 2)))
-        with pytest.raises(AssemblyError):
-            _recover_U2_compressed(u1, u3, f)
+    def test_no_least_squares_solve(self, rng, monkeypatch):
+        import gpcpd.assembly as assembly
+
+        def refuse(*args):
+            raise AssertionError("least squares called on the low-rank route")
+
+        monkeypatch.setattr(assembly, "least_squares_min_norm", refuse)
+        tensor, _ = planted_instance(rng, 12, 8, 5, 6, complex_entries=True)
+        factors = gevd_lowrank_decompose(tensor, 6, rng)
+        assert relative_error(tensor, factors) <= 1e-11
+
+    def test_rank_deficient_u1_rejected(self, rng):
+        # S = I and f[:, :r, k] = U1 diag(U3[k]) with equal columns 0 and 1 of U1
+        r = 3
+        u1, u2, u3 = complex_normal(rng, (8, r)), complex_normal(rng, (5, r)), complex_normal(rng, (4, r))
+        u1[:, 1] = u1[:, 0]
+        u2[:r], u3[0] = np.eye(r), 1.0
+        tensor = cpd_to_tensor(FactorTriple(u1, u2, u3, r))
+        eye = np.eye(r, dtype=np.complex128)
+        rows = EigRowSet(rows=[CommonEigRow(s=eye[i], lambdas=u3[1:, i]) for i in range(r)], target=r, s_inv=eye)
+        with pytest.raises(AssemblyError, match="U1 is column rank deficient"):
+            _factors_from_reduced_eigmatrix(rows, tensor, r)
+
+
+def _near_parallel(dims, mode, seed, delta):
+    """Planted complex tensor whose factor in ``mode`` has column 1 = column 0 + delta * noise."""
+    rng = np.random.default_rng(seed)
+    mats = [complex_normal(rng, (n, dims[3])) for n in dims[:3]]
+    mats[mode][:, 1] = mats[mode][:, 0] + delta * complex_normal(rng, dims[mode])
+    return cpd_to_tensor(FactorTriple(*mats, dims[3]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("mode", range(3))
+@pytest.mark.parametrize("dims", [(8, 6, 5, 4), (6, 6, 3, 6), (60, 30, 12, 25)], ids=lambda d: "{}x{}x{}r{}".format(*d))
+def test_lowrank_near_parallel_columns(dims, mode, seed):
+    tensor = _near_parallel(dims, mode, seed, 1e-2)
+    _, report = decompose(tensor, dims[3], SolveOptions(seed=seed))
+    assert report.stage_used == "lowrank-gevd"
+    assert report.err_rel <= 1e-8
 
 
 class TestDecompositionFromEigmatrix:

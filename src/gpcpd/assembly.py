@@ -31,7 +31,9 @@ from .exceptions import (
     Stage2FailureError,
     UnsupportedRankError,
 )
-from .linalg import as_rng, complex_normal, least_squares_min_norm, left_eigendecomposition, rank_deficient
+from .linalg import (
+    CERTIFIED_COND_MAX, as_rng, complex_normal, least_squares_min_norm, left_eigendecomposition, rank_deficient
+)
 from .options import Deadline, SolveOptions, is_int
 from .preprocess import (
     ReducedTensor,
@@ -77,8 +79,8 @@ def decomposition_from_eigmatrix(rows: EigRowSet, f: Tensor3, rt: ReducedTensor)
     return FactorTriple(u1, u2, u3, rows.target)
 
 
-def eigmatrix_from_pkset(ms: list, rt: ReducedTensor, rng=None) -> EigRowSet:
-    """Simultaneously diagonalize the generating matrices M_2 .. M_n3 into an eigenmatrix.
+def _simdiag(ms: list, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simultaneously diagonalize M_2 .. M_n3: (S, U3, S^{-1}), U3 the (n3 x r) eigenvalue table (first row ones).
 
     Tries M_2 first, then random complex combinations of all M_k (tie-broken
     eigenvalues), each drawn only after the previous candidate failed,
@@ -86,9 +88,8 @@ def eigmatrix_from_pkset(ms: list, rt: ReducedTensor, rng=None) -> EigRowSet:
     (n3 = 2) is tried once: its combinations are multiples of it, with the
     same eigenvectors.
     """
-    rng = as_rng(rng)
-    r = rt.rank
     stack = np.array(ms)
+    r = stack.shape[1]
     last_error = "no candidate eigenbasis tried"
     for attempt in range(_EIG_COMBO_TRIES if len(ms) > 1 else 1):
         source = ms[0] if attempt == 0 else np.tensordot(complex_normal(rng, len(ms)), stack, axes=1)
@@ -96,51 +97,54 @@ def eigmatrix_from_pkset(ms: list, rt: ReducedTensor, rng=None) -> EigRowSet:
         if eig.s_min <= 1e-8:
             last_error = f"eigenbasis ill-conditioned (s_min = {eig.s_min:.2e})"
             continue
-        s = eig.S
-        e = s @ stack @ eig.S_inv  # S M_k S^{-1} for every k at once
+        e = eig.S @ stack @ eig.S_inv  # S M_k S^{-1} for every k at once
         diag = np.diagonal(e, axis1=1, axis2=2)  # (n3 - 1, r)
         off = np.linalg.norm(e - diag[:, :, None] * np.eye(r), axis=(1, 2))
         bad = np.flatnonzero(off > OFFDIAG_TOL * np.maximum(np.linalg.norm(e, axis=(1, 2)), 1e-300))
         if bad.size:
             last_error = f"off-diagonal mass {off[bad[0]]:.2e} too large for slice {bad[0] + 2}"
             continue
-        lambdas = diag.T.copy()  # (r, n3 - 1)
-        rows = [CommonEigRow(s=s[i, :], lambdas=lambdas[i, :]) for i in range(r)]
-        return EigRowSet(rows=rows, target=r, s_inv=eig.S_inv)
+        return eig.S, np.concatenate([np.ones((1, r), dtype=np.complex128), diag]), eig.S_inv
     raise AssemblyError(f"simultaneous diagonalization failed: {last_error}")
 
 
-def _factors_from_reduced_eigmatrix(rows: EigRowSet, f: Tensor3, r: int) -> FactorTriple:
+def eigmatrix_from_pkset(ms: list, rt: ReducedTensor, rng=None) -> EigRowSet:
+    """Simultaneously diagonalize the generating matrices M_2 .. M_n3 into an eigenmatrix (see ``_simdiag``)."""
+    s, u3, _ = _simdiag(ms, as_rng(rng))
+    return EigRowSet(rows=[CommonEigRow(s=s[i, :], lambdas=u3[1:, i]) for i in range(rt.rank)], target=rt.rank)
+
+
+def _factors_from_reduced_eigmatrix(u3: np.ndarray, s_inv: np.ndarray, f: Tensor3, r: int) -> FactorTriple:
     """Low-rank assembly through the eigenbasis S = U2[:r]^T of the square reduced slices.
 
     f[:, :r, k] S^{-1} = U1 diag(U3[k]) and, with U1 = Q1 R1,
     R1^{-1} Q1^H f[:, :, k] = diag(U3[k]) U2^T; column j of U1 (of U2) is the
     least-squares fit over k in the scalar U3[k, j], exact for a rank-r f.
     """
-    u3 = rows.lambda_matrix()
     w = u3.conj() / np.sum(np.abs(u3) ** 2, axis=0)  # U3's first row is all ones
     # U1[:, j] = sum_{i, k} f[:, i, k] S^{-1}[i, j] w[k, j]
-    u1 = f.data[:, :r, :].reshape(f.dims[0], -1) @ khatri_rao(w, rows.s_inv)
+    u1 = f.data[:, :r, :].reshape(f.dims[0], -1) @ khatri_rao(w, s_inv)
     q1, r1 = np.linalg.qr(u1)
-    if rank_deficient(r1):
+    try:
+        x = np.linalg.solve(r1, q1.conj().T)  # R1^{-1} Q1^H
+    except np.linalg.LinAlgError:
+        raise AssemblyError("U1 is column rank deficient") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing (inf or nan) bound goes to the SVD
+        cond_bound = np.linalg.norm(r1) * np.linalg.norm(x)  # >= cond(R1), since ||x||_F = ||R1^{-1}||_F
+    if not cond_bound < CERTIFIED_COND_MAX and rank_deficient(r1):  # an SVD only where the bound cannot settle it
         raise AssemblyError("U1 is column rank deficient")
-    g = np.tensordot(np.linalg.solve(r1, q1.conj().T), f.data, axes=([1], [0]))  # R1^{-1} Q1^H f[:, :, k]
+    g = np.tensordot(x, f.data, axes=([1], [0]))  # R1^{-1} Q1^H f[:, :, k]
     return FactorTriple(u1, np.einsum("jbk,kj->bj", g, w), u3, r)
 
 
 def gevd_lowrank_decompose(f: Tensor3, r: int, rng=None) -> FactorTriple:
     """Low-rank path (r <= n2): eigendecompose a random combination of slices."""
-    rng = as_rng(rng)
     rt = build_reduced_tensor_lowrank(f, r)
-    n3 = rt.n_slices
-    ms = [rt.slice(k) for k in range(2, n3 + 1)]
-    if ms:
-        rows = eigmatrix_from_pkset(ms, rt, rng)
+    if rt.n_slices > 1:
+        _, u3, s_inv = _simdiag([rt.slice(k) for k in range(2, rt.n_slices + 1)], as_rng(rng))
     else:  # single slice: T_1 = I_r, any basis diagonalizes it
-        eye = np.eye(r, dtype=np.complex128)
-        no_lambdas = np.zeros(0, dtype=np.complex128)
-        rows = EigRowSet(rows=[CommonEigRow(s=eye[i], lambdas=no_lambdas) for i in range(r)], target=r, s_inv=eye)
-    return _factors_from_reduced_eigmatrix(rows, f, r)
+        u3, s_inv = np.ones((1, r), dtype=np.complex128), np.eye(r, dtype=np.complex128)
+    return _factors_from_reduced_eigmatrix(u3, s_inv, f, r)
 
 
 def _middle_rank_attempt(f: Tensor3, r: int, opts: SolveOptions, rng, deadline) -> tuple[FactorTriple, str]:
@@ -185,11 +189,13 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
     prescale = not 2.0**-400 < amax < 2.0**400
     if prescale:
         work0 = Tensor3(work0.data / amax)
-    # unit RMS entry scale keeps the Gaussian augmentation block commensurate
-    sigma = work0.norm() / np.sqrt(work0.data.size)
-    work0 = Tensor3(work0.data / sigma)
-    n2 = work0.dims[1]
-    lowrank = r <= n2
+    lowrank = r <= work0.dims[1]
+    # a unit RMS entry keeps the Gaussian augmentation C commensurate; the
+    # low-rank reduction inv(F[:r, :r, 0]) x_1 F[:r, :r, :] is scale-free
+    sigma = 1.0
+    if not lowrank:
+        sigma = work0.norm() / np.sqrt(work0.data.size)
+        work0 = Tensor3(work0.data / sigma)
 
     master = np.random.SeedSequence(opts.seed)
     best: tuple[float, FactorTriple, str] | None = None

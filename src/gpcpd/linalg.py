@@ -14,6 +14,8 @@ import numpy as np
 
 # singular values at or below RANK_REL_TOL * sigma_max count as zero
 RANK_REL_TOL = 1e-10
+# a bound ||a||_F ||a^{-1}||_F >= cond(a) below this shows a is not rank deficient (the half allows for rounding)
+CERTIFIED_COND_MAX = 0.5 / RANK_REL_TOL
 # a residual at or below RESIDUAL_ZERO_TOL times its scale counts as zero
 RESIDUAL_ZERO_TOL = 1e-8
 
@@ -92,9 +94,10 @@ class LeftEig:
     """Left eigendecomposition S m = diag(values) S (rowwise), rows unit-norm.
 
     ``S_inv`` is the eigenvector matrix with its columns scaled to match, the
-    inverse of S. ``s_min`` is the smallest singular value of S; a tiny value
-    flags a defective or near-defective input for the caller to act on (S_inv
-    is then not an inverse).
+    inverse of S. ``s_min`` is the lower bound 1/||S_inv||_F on the smallest
+    singular value of S when that exceeds 1e-6, else (or after a pinv) that
+    value from an SVD; a tiny value flags a defective or near-defective input
+    for the caller to act on (S_inv is then not an inverse).
     """
 
     S: np.ndarray
@@ -107,14 +110,18 @@ def left_eigendecomposition(m: np.ndarray) -> LeftEig:
     m = np.asarray(m, dtype=np.complex128)
     values, v = np.linalg.eig(m)
     try:
-        s = np.linalg.inv(v)
+        s, inverted = np.linalg.inv(v), True
     except np.linalg.LinAlgError:
-        s = np.linalg.pinv(v)
+        s, inverted = np.linalg.pinv(v), False
     norms = np.linalg.norm(s, axis=1)
     norms[norms == 0.0] = 1.0
     s = s / norms[:, None]
-    sv = np.linalg.svd(s, compute_uv=False)
-    return LeftEig(S=s, S_inv=v * norms, values=values, s_min=float(sv[-1]))
+    s_inv = v * norms
+    # sigma_min(S) >= 1 / ||S^{-1}||_F; the SVD runs only where that bound cannot settle a 1e-8 gate
+    s_min = 1.0 / np.linalg.norm(s_inv)
+    if not (inverted and s_min > 1e-6):
+        s_min = np.linalg.svd(s, compute_uv=False)[-1]
+    return LeftEig(S=s, S_inv=s_inv, values=values, s_min=float(s_min))
 
 
 def random_unitary(r: int, seed_or_rng=None) -> np.ndarray:

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConditioningError, DimensionMismatchError, GenericityError
-from .linalg import as_rng, complex_normal, condition_estimate, random_unitary, rank_deficient, spectrum_deficient
+from .linalg import (
+    CERTIFIED_COND_MAX, as_rng, complex_normal, condition_estimate, random_unitary, rank_deficient, spectrum_deficient
+)
 from .tensors import Tensor3, mode_t_matrix_product
 
 _COND_CAP = 1e8
@@ -30,6 +32,9 @@ class ReducedTensor:
     T has dims (r, m, n3) where m = n2 in the middle-rank case and m = r in
     the low-rank case. P is the r x r mixing matrix (inverse of the augmented
     first slice), C the r x (r - n2) augmentation (empty for low rank).
+    ``cond_fhat`` is cond(Fhat) from an SVD; in the low-rank case it is the
+    upper bound ||lead||_F ||P||_F, or cond(lead) when that bound reached
+    ``CERTIFIED_COND_MAX`` and the SVD ran.
     """
 
     T: Tensor3
@@ -86,18 +91,20 @@ def build_reduced_tensor_lowrank(f: Tensor3, r: int) -> ReducedTensor:
     if not (1 <= r <= n2):
         raise DimensionMismatchError(f"low-rank reduction needs 1 <= r <= n2, got r={r}, dims={f.dims}")
     lead = f.data[:r, :r, 0]
-    sv = np.linalg.svd(lead, compute_uv=False)
-    if spectrum_deficient(sv):
-        raise GenericityError("leading r x r block of the first slice is numerically singular")
-    p = np.linalg.inv(lead)
+    singular = "leading r x r block of the first slice is numerically singular"
+    try:
+        p = np.linalg.inv(lead)
+    except np.linalg.LinAlgError:
+        raise GenericityError(singular) from None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing (inf or nan) bound goes to the SVD
+        cond = np.linalg.norm(lead) * np.linalg.norm(p)  # >= cond(lead); an SVD only where it cannot settle the test
+    if not cond < CERTIFIED_COND_MAX:
+        sv = np.linalg.svd(lead, compute_uv=False)
+        if spectrum_deficient(sv):
+            raise GenericityError(singular)
+        cond = sv[0] / sv[-1]
     t = Tensor3(np.tensordot(p, f.data[:r, :r, :], axes=([1], [0])))
-    return ReducedTensor(
-        T=t,
-        P=p,
-        C=np.zeros((r, 0), dtype=np.complex128),
-        rank=r,
-        cond_fhat=float(sv[0] / sv[-1]),
-    )
+    return ReducedTensor(T=t, P=p, C=np.zeros((r, 0), dtype=np.complex128), rank=r, cond_fhat=float(cond))
 
 
 def random_mode_mixing(f: Tensor3, seed=None, mode2: bool = False):

@@ -46,7 +46,6 @@ class CommonEigRow:
 class EigRowSet:
     rows: list[CommonEigRow] = field(default_factory=list)
     target: int = 0
-    s_inv: np.ndarray | None = None  # inverse of stacked(), kept when one eigendecomposition gave every row
 
     @property
     def p(self) -> int:

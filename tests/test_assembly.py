@@ -20,9 +20,9 @@ from gpcpd.assembly import (
     gevd_lowrank_decompose,
     recover_U1_lls,
 )
-from gpcpd.linalg import complex_normal, least_squares_min_norm, random_unitary
+from gpcpd.linalg import complex_normal, least_squares_min_norm, random_unitary, rank_deficient
 from gpcpd.preprocess import build_reduced_tensor, build_reduced_tensor_lowrank
-from gpcpd.stage1 import CommonEigRow, EigRowSet, run_stage1
+from gpcpd.stage1 import run_stage1
 from gpcpd.tensors import khatri_rao, mode_k_flatten, mode_t_matrix_product
 
 from conftest import planted_generating_data, planted_instance, random_triple
@@ -107,10 +107,48 @@ class TestLowrankFactors:
         u1[:, 1] = u1[:, 0]
         u2[:r], u3[0] = np.eye(r), 1.0
         tensor = cpd_to_tensor(FactorTriple(u1, u2, u3, r))
-        eye = np.eye(r, dtype=np.complex128)
-        rows = EigRowSet(rows=[CommonEigRow(s=eye[i], lambdas=u3[1:, i]) for i in range(r)], target=r, s_inv=eye)
         with pytest.raises(AssemblyError, match="U1 is column rank deficient"):
-            _factors_from_reduced_eigmatrix(rows, tensor, r)
+            _factors_from_reduced_eigmatrix(u3, np.eye(r, dtype=np.complex128), tensor, r)
+
+    def test_overflowing_bound_leaves_the_gate_to_the_svd(self, rng):
+        # entries near 1e-150 and cond(U1) = 1e12: ||R1^{-1}||_F overflows, and the SVD still rejects R1
+        r, eye = 3, np.eye(3, dtype=np.complex128)
+        u1 = 1e-150 * (random_unitary(8, rng)[:, :r] * [1.0, 1e-6, 1e-12]) @ random_unitary(r, rng)
+        u2, u3 = complex_normal(rng, (5, r)), complex_normal(rng, (4, r))
+        u2[:r], u3[0] = eye, 1.0
+        with pytest.raises(AssemblyError, match="U1 is column rank deficient"):
+            _factors_from_reduced_eigmatrix(u3, eye, cpd_to_tensor(FactorTriple(u1, u2, u3, r)), r)
+
+    def test_u1_gate_decides_as_the_svd(self):
+        # cond(U1) swept across the 1e10 cutoff with S = I: the bound ||R1||_F ||R1^{-1}||_F >= cond(R1)
+        # lets the SVD decide wherever it cannot, so the error comes exactly when rank_deficient(R1)
+        r, eye, raised, passed = 4, np.eye(4, dtype=np.complex128), 0, 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for cond in np.logspace(9, 11, 21):
+                spread = np.diag(np.logspace(0, -np.log10(cond), r))
+                u1 = random_unitary(10, rng)[:, :r] @ spread @ random_unitary(r, rng)
+                u2, u3 = complex_normal(rng, (6, r)), complex_normal(rng, (5, r))
+                u2[:r], u3[0] = np.eye(r), 1.0
+                tensor = cpd_to_tensor(FactorTriple(u1, u2, u3, r))
+                w = u3.conj() / np.sum(np.abs(u3) ** 2, axis=0)
+                formed = tensor.data[:, :r, :].reshape(10, -1) @ khatri_rao(w, eye)  # the U1 the assembly forms
+                if rank_deficient(np.linalg.qr(formed)[1]):
+                    with pytest.raises(AssemblyError, match="U1 is column rank deficient"):
+                        _factors_from_reduced_eigmatrix(u3, eye, tensor, r)
+                    raised += 1
+                else:
+                    _factors_from_reduced_eigmatrix(u3, eye, tensor, r)
+                    passed += 1
+        assert raised and passed
+
+    def test_exactly_singular_r1_rejected(self, rng):
+        # a zero column of f[:, :r, :] gives U1 a zero column and R1 an exact zero pivot
+        data = complex_normal(rng, (8, 5, 4))
+        data[:, 1, :] = 0.0
+        u3 = np.concatenate([np.ones((1, 3)), complex_normal(rng, (3, 3))])
+        with pytest.raises(AssemblyError, match="U1 is column rank deficient"):
+            _factors_from_reduced_eigmatrix(u3, np.eye(3, dtype=np.complex128), Tensor3(data), 3)
 
 
 def _near_parallel(dims, mode, seed, delta):
@@ -129,6 +167,17 @@ def test_lowrank_near_parallel_columns(dims, mode, seed):
     _, report = decompose(tensor, dims[3], SolveOptions(seed=seed))
     assert report.stage_used == "lowrank-gevd"
     assert report.err_rel <= 1e-8
+
+
+@pytest.mark.parametrize("tiny", [1e-170, 1e-200])
+def test_lowrank_tiny_leading_rows(tiny):
+    # F[:r, :r, 0] is tiny against max|F|, so ||P||_F overflows; the SVD then
+    # settles the gate, and the route solves the tensor as at ordinary scale
+    rng = np.random.default_rng(0)
+    mats = [complex_normal(rng, (n, 3)) for n in (8, 5, 4)]
+    mats[0][:3] *= tiny
+    _, report = decompose(cpd_to_tensor(FactorTriple(*mats, 3)), 3, SolveOptions(seed=0))
+    assert report.stage_used == "lowrank-gevd" and report.err_rel <= 1e-12
 
 
 class TestDecompositionFromEigmatrix:
@@ -388,6 +437,26 @@ def test_extreme_global_scale(case, c):
     assert report.success and report.err_rel <= 1e-6
     unscaled = FactorTriple(factors.U1 / c, factors.U2, factors.U3, r)
     assert relative_error(tensor, unscaled) <= 1e-6
+
+
+EQUIVARIANCE_CASES = {**INVARIANCE_CASES, "60x30x12r25-lowrank": ((60, 30, 12, 25), 33)}
+
+
+# k = +-500 is left out: the max|x| pre-scale then divides by a largest entry
+# that is no power of two, which changes the bits on both routes
+@pytest.mark.parametrize("case", sorted(EQUIVARIANCE_CASES))
+@pytest.mark.parametrize("k", [-40, -3, 3, 40])
+def test_power_of_two_scale_is_exact(case, k):
+    # 2^k F is exact in floating point, and so is every step of decompose on it:
+    # U2, U3 and err_rel keep their bits, and U1 carries 2^k exactly
+    (n1, n2, n3, r), seed = EQUIVARIANCE_CASES[case]
+    tensor, _ = planted_instance(np.random.default_rng(seed), n1, n2, n3, r, complex_entries=True)
+    base, base_report = decompose(tensor, r, SolveOptions(seed=seed))
+    scaled, report = decompose(Tensor3(2.0**k * tensor.data), r, SolveOptions(seed=seed))
+    assert np.array_equal(scaled.U1, 2.0**k * base.U1)
+    assert np.array_equal(scaled.U2, base.U2) and np.array_equal(scaled.U3, base.U3)
+    outcome = (report.err_rel, report.retries, report.stage_used)
+    assert outcome == (base_report.err_rel, base_report.retries, base_report.stage_used)
 
 
 def test_decomposition_error_names_last_attempt_error(rng, monkeypatch):

@@ -188,6 +188,38 @@ class TestLeftEigendecomposition:
         out = left_eigendecomposition(np.array([[1.0, 1.0], [0.0, 1.0]]))
         assert out.s_min <= 1e-7
 
+    def test_s_min_decides_the_gate_as_the_svd(self):
+        # one or three pairs of eigenvectors delta apart sweep sigma_min(S) across the 1e-8 gate of
+        # the simultaneous diagonalization; with three pairs 1/||S_inv||_F sits well below sigma_min,
+        # so s_min takes that bound only above 1e-6 and the SVD's value elsewhere
+        certified = gated = total = 0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for pairs in (1, 3):
+                for delta in np.logspace(-4, -12, 33):
+                    v = complex_normal(rng, (6, 6))
+                    for j in range(1, 2 * pairs, 2):
+                        v[:, j] = v[:, j - 1] + delta * complex_normal(rng, 6)
+                    out = left_eigendecomposition(v @ np.diag(complex_normal(rng, 6)) @ np.linalg.inv(v))
+                    exact = np.linalg.svd(out.S, compute_uv=False)[-1]
+                    assert (out.s_min <= 1e-8) == (exact <= 1e-8)
+                    assert out.s_min <= exact * (1 + 1e-6)  # a lower bound, up to rounding in S_inv
+                    certified += out.s_min > 1e-6
+                    gated += exact <= 1e-8
+                    total += 1
+        assert 0 < certified < total and 0 < gated < total
+        jordan = left_eigendecomposition(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert jordan.s_min == np.linalg.svd(jordan.S, compute_uv=False)[-1] <= 1e-8
+
+    def test_pinv_fallback_takes_s_min_from_the_svd(self, rng, monkeypatch):
+        # S_inv is no inverse after the pseudo-inverse, so its norm bounds nothing
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        out = left_eigendecomposition(complex_normal(rng, (5, 5)))
+        assert out.s_min == np.linalg.svd(out.S, compute_uv=False)[-1]
+
 
 class TestRandomUnitary:
     def test_scalar_case(self):

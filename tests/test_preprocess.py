@@ -10,6 +10,7 @@ from gpcpd import (
     fixture_example41,
     mode_k_flatten,
 )
+from gpcpd.linalg import complex_normal, random_unitary, spectrum_deficient
 from gpcpd.preprocess import (
     build_reduced_tensor,
     build_reduced_tensor_lowrank,
@@ -92,6 +93,35 @@ class TestBuildReducedTensorLowrank:
         data[:2, 1, 0] = data[:2, 0, 0]
         with pytest.raises(GenericityError):
             build_reduced_tensor_lowrank(Tensor3(data), 2)
+
+    def test_singular_gate_decides_as_the_svd(self):
+        # cond(lead) swept across the 1e10 cutoff: the bound ||lead||_F ||P||_F >= cond(lead) lets the
+        # SVD decide wherever it cannot, so GenericityError comes exactly when spectrum_deficient says so
+        r, raised, passed = 4, 0, 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for cond in np.logspace(9, 11, 21):
+                data = complex_normal(rng, (8, 6, 4))
+                spread = np.diag(np.logspace(0, -np.log10(cond), r))
+                data[:r, :r, 0] = random_unitary(r, rng) @ spread @ random_unitary(r, rng)
+                sv = np.linalg.svd(data[:r, :r, 0], compute_uv=False)
+                if spectrum_deficient(sv):
+                    with pytest.raises(GenericityError):
+                        build_reduced_tensor_lowrank(Tensor3(data), r)
+                    raised += 1
+                    continue
+                rt = build_reduced_tensor_lowrank(Tensor3(data), r)
+                # an upper bound on cond(lead) (up to rounding), at most r times too large
+                assert (1 - 1e-6) * sv[0] / sv[-1] <= rt.cond_fhat <= r * sv[0] / sv[-1]
+                passed += 1
+        assert raised and passed
+
+    def test_exactly_singular_leading_block_raises(self, rng):
+        data = complex_normal(rng, (6, 5, 3))
+        data[:3, 1, 0] = 0.0  # LU meets an exact zero pivot
+        assert spectrum_deficient(np.linalg.svd(data[:3, :3, 0], compute_uv=False))
+        with pytest.raises(GenericityError, match="numerically singular"):
+            build_reduced_tensor_lowrank(Tensor3(data), 3)
 
 
 class TestRandomModeMixing:

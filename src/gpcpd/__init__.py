@@ -37,7 +37,7 @@ from .preprocess import (
     build_reduced_tensor_lowrank,
     random_mode_mixing,
 )
-from .stage1 import CommonEigRow, EigRowSet, run_stage1
+from .stage1 import EigRowSet, run_stage1
 from .stage2 import Stage2System, run_stage2
 from .tensors import (
     DecompReport,

@@ -41,7 +41,7 @@ from .preprocess import (
     build_reduced_tensor_lowrank,
     random_mode_mixing,
 )
-from .stage1 import CommonEigRow, EigRowSet, run_stage1
+from .stage1 import EigRowSet, run_stage1
 from .stage2 import run_stage2
 from .tensors import (
     DecompReport,
@@ -67,16 +67,15 @@ def recover_U1_lls(u2: np.ndarray, u3: np.ndarray, f: Tensor3) -> np.ndarray:
 
 def decomposition_from_eigmatrix(rows: EigRowSet, f: Tensor3, rt: ReducedTensor) -> FactorTriple:
     """Turn a complete eigenmatrix into factors of the original tensor."""
+    r = rt.rank
     if not rows.complete:
-        raise AssemblyError(f"eigenmatrix incomplete: {rows.p} of {rows.target} rows")
-    s = rows.stacked()
-    if rank_deficient(s):
+        raise AssemblyError(f"eigenmatrix incomplete: {rows.p} of {r} rows")
+    if rank_deficient(rows.S):
         raise AssemblyError("stacked eigenmatrix is numerically singular")
-    n2 = rt.slice_cols
-    u2 = s[:, :n2].T
-    u3 = rows.lambda_matrix()
+    u2 = rows.S[:, : rt.slice_cols].T
+    u3 = np.concatenate([np.ones((1, r), dtype=np.complex128), rows.lambdas])
     u1 = recover_U1_lls(u2, u3, f)
-    return FactorTriple(u1, u2, u3, rows.target)
+    return FactorTriple(u1, u2, u3, r)
 
 
 def _simdiag(ms: list, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,10 +107,10 @@ def _simdiag(ms: list, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise AssemblyError(f"simultaneous diagonalization failed: {last_error}")
 
 
-def eigmatrix_from_pkset(ms: list, rt: ReducedTensor, rng=None) -> EigRowSet:
+def eigmatrix_from_pkset(ms: list, rng=None) -> EigRowSet:
     """Simultaneously diagonalize the generating matrices M_2 .. M_n3 into an eigenmatrix (see ``_simdiag``)."""
     s, u3, _ = _simdiag(ms, as_rng(rng))
-    return EigRowSet(rows=[CommonEigRow(s=s[i, :], lambdas=u3[1:, i]) for i in range(rt.rank)], target=rt.rank)
+    return EigRowSet(s, u3[1:])
 
 
 def _factors_from_reduced_eigmatrix(u3: np.ndarray, s_inv: np.ndarray, f: Tensor3, r: int) -> FactorTriple:
@@ -153,7 +152,7 @@ def _middle_rank_attempt(f: Tensor3, r: int, opts: SolveOptions, rng, deadline) 
     if found.complete:
         return decomposition_from_eigmatrix(found, f, rt), "stage1"
     ms = run_stage2(rt, found, rng, deadline)
-    rows = eigmatrix_from_pkset(ms, rt, rng)
+    rows = eigmatrix_from_pkset(ms, rng)
     return decomposition_from_eigmatrix(rows, f, rt), "stage2"
 
 

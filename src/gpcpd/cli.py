@@ -115,7 +115,7 @@ def check_jacobians(seed: int = 0):
     for n1, n2, n3, r in _JACOBIAN_PROFILES:
         tensor, _ = gen_random_rank_r(n1, n2, n3, r, seed=rng)
         rt = build_reduced_tensor(tensor, r, seed=rng)
-        frame = build_frame(rt, EigRowSet(rows=[], target=r), rng)
+        frame = build_frame(rt, EigRowSet.empty(rt), rng)
         for _ in range(_JACOBIAN_POINTS):
             x = (rng.standard_normal(r - 1) + 1j * rng.standard_normal(r - 1)) / np.sqrt(2)
             worst_fq = max(
@@ -124,7 +124,7 @@ def check_jacobians(seed: int = 0):
                     lambda v: eval_fQ(v, frame, rt), lambda v: jac_fQ(v, frame, rt), x
                 ),
             )
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=r))
+        sys2 = assemble_stage2(rt, EigRowSet.empty(rt))
         for _ in range(_JACOBIAN_POINTS):
             x = (rng.standard_normal(sys2.d) + 1j * rng.standard_normal(sys2.d)) / np.sqrt(2)
             worst_g = max(

@@ -96,7 +96,8 @@ class LeftEig:
     ``S_inv`` is the eigenvector matrix with its columns scaled to match, the
     inverse of S. ``s_min`` is the lower bound 1/||S_inv||_F on the smallest
     singular value of S when that exceeds 1e-6, else (or after a pinv) that
-    value from an SVD; a tiny value flags a defective or near-defective input
+    value from an SVD, and 0 when ||S_inv||_F is not finite (always so when S
+    or S_inv is not); a tiny value flags a defective or near-defective input
     for the caller to act on (S_inv is then not an inverse).
     """
 
@@ -113,13 +114,16 @@ def left_eigendecomposition(m: np.ndarray) -> LeftEig:
         s, inverted = np.linalg.inv(v), True
     except np.linalg.LinAlgError:
         s, inverted = np.linalg.pinv(v), False
-    norms = np.linalg.norm(s, axis=1)
-    norms[norms == 0.0] = 1.0
-    s = s / norms[:, None]
-    s_inv = v * norms
-    # sigma_min(S) >= 1 / ||S^{-1}||_F; the SVD runs only where that bound cannot settle a 1e-8 gate
-    s_min = 1.0 / np.linalg.norm(s_inv)
-    if not (inverted and s_min > 1e-6):
+    with np.errstate(over="ignore", invalid="ignore"):  # a defective m can overflow the row norms of inv(v)
+        norms = np.linalg.norm(s, axis=1)
+        norms[norms == 0.0] = 1.0
+        s = s / norms[:, None]
+        s_inv = v * norms
+        # sigma_min(S) >= 1 / ||S^{-1}||_F; the SVD runs only where that bound cannot settle a 1e-8 gate
+        s_min = 1.0 / np.linalg.norm(s_inv)
+    if not s_min > 0.0:  # ||S_inv||_F is inf or nan, as it is whenever S is not finite: v is singular
+        s_min = 0.0
+    elif not (inverted and s_min > 1e-6):
         s_min = np.linalg.svd(s, compute_uv=False)[-1]
     return LeftEig(S=s, S_inv=s_inv, values=values, s_min=float(s_min))
 

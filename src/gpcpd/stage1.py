@@ -9,7 +9,7 @@ found as zeros of the projected residual
 
 whose projector uses the plain bilinear square u^T u, not the norm. After a
 row is accepted, the next frame Q comes from the QR factorization of the
-stacked rows' transpose, which forces every later candidate out of their span;
+found rows' transpose, which forces every later candidate out of their span;
 the trailing columns of Q are re-randomized per start so restarts can reach
 eigenvectors with little weight on the deterministic last column.
 """
@@ -31,46 +31,34 @@ _EPS_ISO = 1e-8  # guard on the bilinear square of the projector axis
 
 
 @dataclass(frozen=True)
-class CommonEigRow:
-    """One accepted eigenvector row (unit norm) with its eigenvalues for k >= 2.
+class EigRowSet:
+    """The found eigenrows S^p (p x r, unit-norm rows) and their eigenvalues.
 
-    lambda_{.,1} = 1 implicitly: the first reduced slice is (I_r)[:, :n2], so
-    T_1^T s = s[:n2] for every s.
+    Column i of ``lambdas`` ((n3 - 1) x p) holds lambda_2 .. lambda_n3 of row
+    i; lambda_1 = 1 implicitly: the first reduced slice is (I_r)[:, :n2], so
+    T_1^T s = s[:n2] for every s. The set is complete when p = r.
     """
 
-    s: np.ndarray
-    lambdas: np.ndarray  # shape (n3 - 1,), entries for k = 2 .. n3
+    S: np.ndarray
+    lambdas: np.ndarray
 
-
-@dataclass
-class EigRowSet:
-    rows: list[CommonEigRow] = field(default_factory=list)
-    target: int = 0
+    @classmethod
+    def empty(cls, rt: ReducedTensor) -> "EigRowSet":
+        return cls(np.zeros((0, rt.rank), dtype=np.complex128), np.zeros((rt.n_slices - 1, 0), dtype=np.complex128))
 
     @property
     def p(self) -> int:
-        return len(self.rows)
+        return self.S.shape[0]
 
     @property
     def complete(self) -> bool:
-        return self.p == self.target
-
-    def stacked(self) -> np.ndarray:
-        """S^p: p x r matrix whose rows are the found eigenvectors."""
-        if not self.rows:
-            return np.zeros((0, self.target), dtype=np.complex128)
-        return np.array([row.s for row in self.rows])
-
-    def lambda_matrix(self) -> np.ndarray:
-        """(n3 x p) eigenvalue table including the implicit all-ones first row."""
-        if not self.rows:
-            return np.zeros((0, 0), dtype=np.complex128)
-        lams = np.array([row.lambdas for row in self.rows]).T  # (n3-1, p)
-        ones = np.ones((1, self.p), dtype=np.complex128)
-        return np.concatenate([ones, lams], axis=0)
+        return self.p == self.S.shape[1]
 
     def truncated(self, p: int) -> "EigRowSet":
-        return EigRowSet(rows=list(self.rows[:p]), target=self.target)
+        return EigRowSet(self.S[:p], self.lambdas[:, :p])
+
+    def with_row(self, s: np.ndarray, lambdas: np.ndarray) -> "EigRowSet":
+        return EigRowSet(np.vstack([self.S, s]), np.column_stack([self.lambdas, lambdas]))
 
 
 @dataclass(frozen=True)
@@ -124,7 +112,7 @@ def build_frame(rt: ReducedTensor, found: EigRowSet, rng) -> SearchFrame:
     """
     r = rt.rank
     rng = as_rng(rng)
-    q, _ = qr_full(found.stacked().T)
+    q, _ = qr_full(found.S.T)
     p = found.p
     if r - p > 0:
         q = q.copy()
@@ -303,8 +291,10 @@ def refine_row(
     return best
 
 
-def accept_row(s_row: np.ndarray, found: EigRowSet, rt: ReducedTensor, iters: int = 3) -> CommonEigRow | None:
-    """Polish a candidate row into the next eigenvector row, or None.
+def accept_row(
+    s_row: np.ndarray, found: EigRowSet, rt: ReducedTensor, iters: int = 3
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Polish a candidate row into the next eigenvector row and its eigenvalues, (s, lambdas), or None.
 
     The row is accepted when its eigen-equation residual is at most
     zero against ||T||_F (``residual_is_zero``) after ``refine_row`` and it is numerically
@@ -318,13 +308,15 @@ def accept_row(s_row: np.ndarray, found: EigRowSet, rt: ReducedTensor, iters: in
     s_row, lams, residual = refine_row(s_row, lams, rt, iters)
     if not residual_is_zero(residual, rt.norm()):
         return None
-    if rank_deficient(np.vstack([found.stacked(), s_row])):
+    if rank_deficient(np.vstack([found.S, s_row])):
         return None  # numerically dependent on the found rows
-    return CommonEigRow(s=s_row, lambdas=lams)
+    return s_row, lams
 
 
-def find_next_row(rt: ReducedTensor, found: EigRowSet, rng, deadline: Deadline = Deadline(None)) -> CommonEigRow | None:
-    """Multi-start LM search for the next eigenvector row; None when all starts fail."""
+def find_next_row(
+    rt: ReducedTensor, found: EigRowSet, rng, deadline: Deadline = Deadline(None)
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Multi-start LM search for the next eigenvector row, (s, lambdas); None when all starts fail."""
     rng = as_rng(rng)
     r = rt.rank
     scale = rt.norm()
@@ -352,7 +344,7 @@ def find_next_row(rt: ReducedTensor, found: EigRowSet, rng, deadline: Deadline =
 def run_stage1(rt: ReducedTensor, opts: SolveOptions, rng, deadline: Deadline = Deadline(None)) -> EigRowSet:
     """Find rows sequentially until one search fails or all r rows are found."""
     rng = as_rng(rng)
-    found = EigRowSet(rows=[], target=rt.rank)
+    found = EigRowSet.empty(rt)
     max_rows = rt.rank if opts.stage1_max_rows is None else min(opts.stage1_max_rows, rt.rank)
     while found.p < max_rows:
         if deadline.exceeded():
@@ -360,5 +352,5 @@ def run_stage1(rt: ReducedTensor, opts: SolveOptions, rng, deadline: Deadline = 
         row = find_next_row(rt, found, rng, deadline)
         if row is None:
             break
-        found.rows.append(row)
+        found = found.with_row(*row)
     return found

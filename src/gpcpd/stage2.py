@@ -93,12 +93,8 @@ def eigenrow_factor(rt: ReducedTensor, found: EigRowSet) -> tuple[np.ndarray, np
     Block k of E is diag(lambda_k) S^p[:, n2:].
     """
     r, n2, n3 = rt.rank, rt.slice_cols, rt.n_slices
-    sp = found.stacked()
-    if found.p == 0:
-        return sp, np.zeros((0, (r - n2) * (n3 - 1)), dtype=np.complex128)
-    lam = found.lambda_matrix()[1:]  # (n3 - 1, p)
-    e = lam[:, :, None] * sp[None, :, n2:]
-    return sp, e.transpose(1, 0, 2).reshape(found.p, -1)
+    e = found.lambdas[:, :, None] * found.S[None, :, n2:]
+    return found.S, e.transpose(1, 0, 2).reshape(found.p, (r - n2) * (n3 - 1))
 
 
 def _padded(values: np.ndarray, size: int) -> np.ndarray:
@@ -245,7 +241,7 @@ def harvest_rows(sys: Stage2System, rt: ReducedTensor, found: EigRowSet, endpoin
     planted 9x4x4 at p = 0); each eigenvector of a random combination of the
     M_k is handed to ``accept_row``, best end point first.
     """
-    rows = EigRowSet(rows=list(found.rows), target=found.target)
+    rows = found
     for _, x in sorted(endpoints, key=lambda e: e[0]):
         if rows.complete:
             break
@@ -255,7 +251,7 @@ def harvest_rows(sys: Stage2System, rt: ReducedTensor, found: EigRowSet, endpoin
         for s_row in vecs.T:
             row = accept_row(s_row, rows, rt, _HARVEST_REFINE_ITERS)
             if row is not None:
-                rows.rows.append(row)
+                rows = rows.with_row(*row)
                 if rows.complete:
                     break
     return rows

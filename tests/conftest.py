@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gpcpd import FactorTriple, cpd_to_tensor
+from gpcpd import EigRowSet, FactorTriple, cpd_to_tensor
+from gpcpd.linalg import RESIDUAL_ZERO_TOL
+from gpcpd.stage1 import eig_residual
 
 
 @pytest.fixture
@@ -37,6 +39,20 @@ def planted_generating_data(tensor, triple, rt):
     uinv = np.linalg.inv(uhat1)
     ms = [uhat1 @ np.diag(lam[k]) @ uinv for k in range(1, tensor.dims[2])]
     return uinv, lam, ms
+
+
+def planted_rowset(s_rows, lam, p):
+    """The first p planted eigenrows as an ``EigRowSet``: rows scaled to unit norm, eigenvalues for k >= 2."""
+    s = s_rows[:p]
+    return EigRowSet(s / np.linalg.norm(s, axis=1)[:, None], lam[1:, :p].copy())
+
+
+def assert_rowset_valid(rows, rt):
+    """Shapes agree with p, rows have unit norm and each row meets its eigen-equations."""
+    assert rows.S.shape == (rows.p, rt.rank) and rows.lambdas.shape == (rt.n_slices - 1, rows.p)
+    assert np.allclose(np.linalg.norm(rows.S, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    for s, lams in zip(rows.S, rows.lambdas.T):
+        assert eig_residual(s, lams, rt) <= RESIDUAL_ZERO_TOL * rt.norm()
 
 
 def commutator_bound(ms):

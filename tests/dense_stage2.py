@@ -54,18 +54,13 @@ def build_partial_eig_system(rt, found):
     rows_per_k = (r - n2) * p
     a = np.zeros((rows_per_k * (n3 - 1), d2), dtype=np.complex128)
     b = np.zeros(rows_per_k * (n3 - 1), dtype=np.complex128)
-    if p == 0:
-        return a, b
-    sp = found.stacked()
-    tail = sp[:, n2:]
-    lam = found.lambda_matrix()  # (n3, p) with first row ones
+    tail = found.S[:, n2:]
     width = r * (r - n2)
-    blk = np.kron(np.eye(r - n2), sp)
-    for idx in range(n3 - 1):
-        k = idx + 2
+    blk = np.kron(np.eye(r - n2), found.S)
+    for idx in range(n3 - 1):  # slice k = idx + 2
         rows = slice(idx * rows_per_k, (idx + 1) * rows_per_k)
         a[rows, idx * width : (idx + 1) * width] = blk
-        b[rows] = vec(np.diag(lam[k - 1]) @ tail)
+        b[rows] = vec(np.diag(found.lambdas[idx]) @ tail)
     return a, b
 
 

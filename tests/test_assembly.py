@@ -25,7 +25,7 @@ from gpcpd.preprocess import build_reduced_tensor, build_reduced_tensor_lowrank
 from gpcpd.stage1 import run_stage1
 from gpcpd.tensors import khatri_rao, mode_k_flatten, mode_t_matrix_product
 
-from conftest import planted_generating_data, planted_instance, random_triple
+from conftest import assert_rowset_valid, planted_generating_data, planted_instance, random_triple
 from matching import match_factor_triples, triples_equivalent
 
 
@@ -205,38 +205,34 @@ class TestEigmatrixFromPkset:
         tensor, triple = planted_instance(rng, 6, 3, 3, 5)
         rt = build_reduced_tensor(tensor, 5, seed=rng)
         s_true, lam, ms = planted_generating_data(tensor, triple, rt)
-        rows = eigmatrix_from_pkset(ms, rt, rng)
+        rows = eigmatrix_from_pkset(ms, rng)
         assert rows.complete
-        got = rows.stacked()
+        assert_rowset_valid(rows, rt)
+        got = rows.S
         want = s_true / np.linalg.norm(s_true, axis=1)[:, None]
         corr = np.abs(got.conj() @ want.T)
         # every true row matched by exactly one recovered row
         assert np.allclose(np.sort(corr.max(axis=0)), np.ones(5), atol=1e-8)
-        lam_got = rows.lambda_matrix()
         for i in range(5):
             j = int(np.argmax(corr[:, i]))
-            assert np.max(np.abs(lam_got[1:, j] - lam[1:, i])) <= 1e-7
+            assert np.max(np.abs(rows.lambdas[:, j] - lam[1:, i])) <= 1e-7
 
     def test_equal_matrices_any_basis_works(self, rng):
         tensor, triple = planted_instance(rng, 6, 3, 3, 5)
         rt = build_reduced_tensor(tensor, 5, seed=rng)
         _, _, ms = planted_generating_data(tensor, triple, rt)
-        rows = eigmatrix_from_pkset([ms[0]] * 2, rt, rng)
+        rows = eigmatrix_from_pkset([ms[0]] * 2, rng)
         assert rows.complete
 
     def test_broken_commutators_rejected(self, rng):
-        tensor, _ = planted_instance(rng, 6, 3, 3, 5)
-        rt = build_reduced_tensor(tensor, 5, seed=rng)
         ms = [complex_normal(rng, (5, 5)) for _ in range(2)]
         with pytest.raises(AssemblyError):
-            eigmatrix_from_pkset(ms, rt, rng)
+            eigmatrix_from_pkset(ms, rng)
 
     def test_lone_matrix_gets_one_eigenbasis(self, rng, monkeypatch):
         # n3 = 2: every combination of the one M_2 is a multiple with its eigenvectors
         import gpcpd.assembly as assembly
 
-        tensor, _ = planted_instance(rng, 3, 2, 2, 2)
-        rt = build_reduced_tensor_lowrank(tensor, 2)
         calls = []
         real = assembly.left_eigendecomposition
 
@@ -247,8 +243,14 @@ class TestEigmatrixFromPkset:
         monkeypatch.setattr(assembly, "left_eigendecomposition", counting)
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(AssemblyError):
-            eigmatrix_from_pkset([jordan], rt, rng)
+            eigmatrix_from_pkset([jordan], rng)
         assert len(calls) == 1
+
+    def test_nilpotent_matrix_is_a_typed_failure(self, rng):
+        # inv of its eigenvector matrix overflows; that reads as no eigenbasis, without a warning
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(AssemblyError, match="ill-conditioned"):
+            eigmatrix_from_pkset([nilpotent], rng)
 
     def test_diagonalizing_m2_draws_no_combination(self, rng, monkeypatch):
         # combinations are drawn only after a failed candidate: a planted
@@ -266,12 +268,12 @@ class TestEigmatrixFromPkset:
             return real(*args)
 
         monkeypatch.setattr(assembly, "complex_normal", counting)
-        rows = eigmatrix_from_pkset(ms, rt, rng)
+        rows = eigmatrix_from_pkset(ms, rng)
         assert rows.complete and calls == []
-        s, lam = rows.stacked(), rows.lambda_matrix()
+        s = rows.S
         for k, m in enumerate(ms):
             # rows are left eigenvectors: s_i M_k = lambda_ik s_i
-            assert np.linalg.norm(s @ m - lam[k + 1][:, None] * s) <= 1e-10 * np.linalg.norm(m)
+            assert np.linalg.norm(s @ m - rows.lambdas[k][:, None] * s) <= 1e-10 * np.linalg.norm(m)
 
 
 class TestGevdLowrank:

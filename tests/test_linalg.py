@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,13 @@ class TestLeftEigendecomposition:
     def test_jordan_block_flags_conditioning(self):
         out = left_eigendecomposition(np.array([[1.0, 1.0], [0.0, 1.0]]))
         assert out.s_min <= 1e-7
+
+    def test_nilpotent_block_reads_zero_without_warning(self):
+        # eig returns an eigenvector matrix singular to about 1e-292: the row norms of its inverse overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = left_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert out.s_min == 0.0
 
     def test_s_min_decides_the_gate_as_the_svd(self):
         # one or three pairs of eigenvectors delta apart sweep sigma_min(S) across the 1e-8 gate of

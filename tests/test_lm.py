@@ -37,7 +37,7 @@ def test_scalar_root(rng):
 def test_stage2_objective_plant_and_recover(rng):
     tensor, triple = planted_instance(rng, 5, 3, 3, 4)
     rt = build_reduced_tensor(tensor, 4, seed=rng)
-    sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=4))
+    sys2 = assemble_stage2(rt, EigRowSet.empty(rt))
     uhat1 = rt.P @ triple.U1[:4, :]
     lam = triple.U3 / triple.U3[0:1, :]
     uinv = np.linalg.inv(uhat1)

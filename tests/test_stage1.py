@@ -15,7 +15,6 @@ from gpcpd import (
 from gpcpd.linalg import RESIDUAL_ZERO_TOL, complex_normal
 from gpcpd.preprocess import ReducedTensor, build_reduced_tensor
 from gpcpd.stage1 import (
-    CommonEigRow,
     EigRowSet,
     SearchFrame,
     build_frame,
@@ -32,7 +31,7 @@ from gpcpd.stage1 import (
 from gpcpd.lm import finite_difference_check
 from gpcpd.tensors import Tensor3
 
-from conftest import planted_generating_data, planted_instance
+from conftest import assert_rowset_valid, planted_generating_data, planted_instance, planted_rowset
 
 
 def rotated_slices(frame, rt):
@@ -117,7 +116,7 @@ class TestEvalFQ:
     def test_zero_at_planted_row(self, rng):
         tensor, triple, rt = make_rt(rng, 6, 3, 3, 5)
         s_rows, _, _ = planted_generating_data(tensor, triple, rt)
-        frame = build_frame(rt, EigRowSet(rows=[], target=5), rng)
+        frame = build_frame(rt, EigRowSet.empty(rt), rng)
         x = x_for_row(frame, s_rows[2, :])
         val = eval_fQ(x, frame, rt)
         # f is linear in the row's scaling; compare at the frame's scaling
@@ -135,13 +134,13 @@ class TestEvalFQ:
             cond_fhat=rt_full.cond_fhat,
         )
         for _ in range(5):
-            frame = build_frame(single, EigRowSet(rows=[], target=3), rng)
+            frame = build_frame(single, EigRowSet.empty(single), rng)
             x = complex_normal(rng, 2)
             assert np.linalg.norm(eval_fQ(x, frame, single)) <= 1e-12 * single.norm()
 
     def test_generic_nonvanishing(self, rng):
         _, _, rt = make_rt(rng, 6, 3, 3, 5)
-        frame = build_frame(rt, EigRowSet(rows=[], target=5), rng)
+        frame = build_frame(rt, EigRowSet.empty(rt), rng)
         assert np.linalg.norm(eval_fQ(complex_normal(rng, 4), frame, rt)) > 1e-6
 
     def test_domain_guard_raises(self, rng):
@@ -156,13 +155,8 @@ class TestEvalFQ:
 def oracle_frame(rng, n1, n2, n3, r, p):
     """Frame of the search for row p + 1 after p planted rows were found."""
     tensor, triple, rt = make_rt(rng, n1, n2, n3, r)
-    found = EigRowSet(rows=[], target=r)
-    if p:
-        s_rows, lam, _ = planted_generating_data(tensor, triple, rt)
-        for i in range(p):
-            s = s_rows[i, :] / np.linalg.norm(s_rows[i, :])
-            found.rows.append(CommonEigRow(s=s, lambdas=lam[1:, i]))
-    return rt, build_frame(rt, found, rng)
+    s_rows, lam, _ = planted_generating_data(tensor, triple, rt)
+    return rt, build_frame(rt, planted_rowset(s_rows, lam, p), rng)
 
 
 @pytest.mark.parametrize("n1, n2, n3, r, p", ORACLE_SHAPES)
@@ -179,7 +173,7 @@ def test_eval_fQ_matches_direct_reference(rng, n1, n2, n3, r, p):
 class TestJacFQ:
     def test_finite_difference_agreement(self, rng):
         _, _, rt = make_rt(rng, 6, 3, 3, 5)
-        frame = build_frame(rt, EigRowSet(rows=[], target=5), rng)
+        frame = build_frame(rt, EigRowSet.empty(rt), rng)
         worst = 0.0
         for _ in range(20):
             x = complex_normal(rng, 4)
@@ -193,7 +187,7 @@ class TestJacFQ:
 
     def test_xbar_moves_inside_leading_frame_columns(self, rng):
         _, _, rt = make_rt(rng, 6, 3, 3, 5)
-        frame = build_frame(rt, EigRowSet(rows=[], target=5), rng)
+        frame = build_frame(rt, EigRowSet.empty(rt), rng)
         x = complex_normal(rng, 4)
         h = 1e-7
         for j in range(4):
@@ -207,7 +201,7 @@ class TestJacFQ:
     def test_stationarity_at_planted_zero(self, rng):
         tensor, triple, rt = make_rt(rng, 6, 3, 3, 5)
         s_rows, _, _ = planted_generating_data(tensor, triple, rt)
-        frame = build_frame(rt, EigRowSet(rows=[], target=5), rng)
+        frame = build_frame(rt, EigRowSet.empty(rt), rng)
         x = x_for_row(frame, s_rows[0, :])
         j = jac_fQ(x, frame, rt)
         f = eval_fQ(x, frame, rt)
@@ -377,24 +371,46 @@ class TestFindNextRow:
     def test_example41_first_row(self, rng):
         tensor, _ = fixture_example41()
         rt = build_reduced_tensor(tensor, 5, seed=rng)
-        row = find_next_row(rt, EigRowSet(rows=[], target=5), rng)
+        row = find_next_row(rt, EigRowSet.empty(rt), rng)
         assert row is not None
-        assert eig_residual(row.s, row.lambdas, rt) <= RESIDUAL_ZERO_TOL * rt.norm()
+        assert eig_residual(*row, rt) <= RESIDUAL_ZERO_TOL * rt.norm()
 
     def test_planted_full_sequence(self, rng):
         tensor, _, rt = make_rt(rng, 9, 4, 4, 9)
         opts = SolveOptions()
         found = run_stage1(rt, opts, rng)
         assert found.p == 9
-        sv = np.linalg.svd(found.stacked(), compute_uv=False)
+        sv = np.linalg.svd(found.S, compute_uv=False)
         assert sv[-1] > 1e-10 * sv[0]
 
     def test_wrong_rank_input_not_found(self, rng):
         # full-rank random data has no common eigenstructure at this rank
         data = rng.standard_normal((5, 3, 3))
         rt = build_reduced_tensor(Tensor3(data), 4, seed=rng)
-        row = find_next_row(rt, EigRowSet(rows=[], target=4), rng)
+        row = find_next_row(rt, EigRowSet.empty(rt), rng)
         assert row is None
+
+
+class TestEigRowSet:
+    def test_empty_grows_and_truncates_as_arrays(self, rng):
+        _, _, rt = make_rt(rng, 6, 3, 3, 5)
+        empty = EigRowSet.empty(rt)
+        assert empty.p == 0 and not empty.complete
+        assert empty.S.shape == (0, 5) and empty.lambdas.shape == (2, 0)
+        rows = empty
+        for _ in range(5):
+            rows = rows.with_row(complex_normal(rng, 5), complex_normal(rng, 2))
+        assert rows.p == 5 and rows.complete and empty.p == 0
+        assert rows.S.shape == (5, 5) and rows.lambdas.shape == (2, 5)
+        head = rows.truncated(2)
+        assert head.p == 2 and not head.complete
+        assert np.array_equal(head.S, rows.S[:2]) and np.array_equal(head.lambdas, rows.lambdas[:, :2])
+
+    def test_run_stage1_rows_are_valid(self, rng):
+        _, _, rt = make_rt(rng, 9, 4, 4, 9)
+        found = run_stage1(rt, SolveOptions(), rng)
+        assert found.complete
+        assert_rowset_valid(found, rt)
 
 
 class TestRunStage1:
@@ -412,8 +428,8 @@ class TestRunStage1:
         found = run_stage1(rt, SolveOptions(), rng)
         assert 1 <= found.p <= 8
         scale = rt.norm()
-        for row in found.rows:
-            assert eig_residual(row.s, row.lambdas, rt) <= 1e-8 * scale
+        for s, lams in zip(found.S, found.lambdas.T):
+            assert eig_residual(s, lams, rt) <= 1e-8 * scale
 
     def test_tiny_start_budget_keeps_rows_valid(self, rng, monkeypatch):
         monkeypatch.setattr(stage1, "STARTS", 1)
@@ -421,21 +437,21 @@ class TestRunStage1:
         rt = build_reduced_tensor(tensor, 8, seed=rng)
         found = run_stage1(rt, SolveOptions(), rng)
         assert found.p < 8
-        for row in found.rows:
-            assert eig_residual(row.s, row.lambdas, rt) <= RESIDUAL_ZERO_TOL * rt.norm()
+        for s, lams in zip(found.S, found.lambdas.T):
+            assert eig_residual(s, lams, rt) <= RESIDUAL_ZERO_TOL * rt.norm()
 
     def test_deflation_soundness_and_frame_property(self, rng):
         tensor, _, rt = make_rt(rng, 7, 3, 3, 6)
-        found = EigRowSet(rows=[], target=6)
+        found = EigRowSet.empty(rt)
         while found.p < 6:
             row = find_next_row(rt, found, rng)
             assert row is not None
-            found.rows.append(row)
-            stacked = found.stacked()
+            found = found.with_row(*row)
+            stacked = found.S
             sv = np.linalg.svd(stacked, compute_uv=False)
             assert sv[-1] > 1e-10 * sv[0]
-            for r_ in found.rows:
-                assert eig_residual(r_.s, r_.lambdas, rt) <= 1e-8 * rt.norm()
+            for s, lams in zip(found.S, found.lambdas.T):
+                assert eig_residual(s, lams, rt) <= 1e-8 * rt.norm()
             if found.p > 1:
                 frame = build_frame(rt, found, rng)
                 lead = frame.Q[:, : found.p]
@@ -449,7 +465,7 @@ def test_zero_set_equivalence(rng):
     # ||f_Q|| small iff the per-slice eigen-residual (with optimal weights) is small
     tensor, triple, rt = make_rt(rng, 6, 3, 3, 5)
     s_rows, _, _ = planted_generating_data(tensor, triple, rt)
-    frame = build_frame(rt, EigRowSet(rows=[], target=5), rng)
+    frame = build_frame(rt, EigRowSet.empty(rt), rng)
     tol = 1e-8 * rt.norm()
 
     def eig_gap(xbar):

@@ -3,10 +3,10 @@ import pytest
 
 from gpcpd import InconsistentSystemError, SolveOptions, Stage2FailureError, fixture_example41
 from gpcpd.assembly import OFFDIAG_TOL
-from gpcpd.linalg import RESIDUAL_ZERO_TOL, complex_normal
+from gpcpd.linalg import complex_normal
 from gpcpd.lm import finite_difference_check
 from gpcpd.preprocess import build_reduced_tensor
-from gpcpd.stage1 import CommonEigRow, EigRowSet, eig_residual, run_stage1
+from gpcpd.stage1 import EigRowSet, run_stage1
 from gpcpd.stage2 import (
     Stage2System,
     _m_matrices,
@@ -21,7 +21,7 @@ from gpcpd.stage2 import (
 )
 from gpcpd.tensors import Tensor3, vec
 
-from conftest import commutator_bound, planted_generating_data, planted_instance
+from conftest import assert_rowset_valid, commutator_bound, planted_generating_data, planted_instance, planted_rowset
 from dense_stage2 import (
     build_commuting_linear_system,
     build_partial_eig_system,
@@ -71,12 +71,11 @@ def make_planted(rng, n1, n2, n3, r):
     return tensor, triple, rt, s_rows, lam, ms, p_true
 
 
-def planted_rowset(rt, s_rows, lam, p):
-    rows = []
-    for i in range(p):
-        s = s_rows[i, :] / np.linalg.norm(s_rows[i, :])
-        rows.append(CommonEigRow(s=s, lambdas=lam[1:, i].copy()))
-    return EigRowSet(rows=rows, target=rt.rank)
+def poisoned_last_row(found, rng):
+    """``found`` with its last row pushed off the eigenrow by 5% noise, eigenvalues kept."""
+    s = found.S.copy()
+    s[-1] += 0.05 * complex_normal(rng, s.shape[1])
+    return EigRowSet(s, found.lambdas)
 
 
 class TestCommutingLinearSystem:
@@ -108,23 +107,20 @@ class TestCommutingLinearSystem:
 class TestPartialEigSystem:
     def test_empty_for_no_rows(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        a, b = build_partial_eig_system(rt, planted_rowset(rt, s_rows, lam, 0))
+        a, b = build_partial_eig_system(rt, planted_rowset(s_rows, lam, 0))
         assert a.shape == (0, 5 * 2 * 2) and b.shape == (0,)
 
     def test_planted_rows_satisfied(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
-        found = planted_rowset(rt, s_rows, lam, 2)
+        found = planted_rowset(s_rows, lam, 2)
         a, b = build_partial_eig_system(rt, found)
         assert a.shape[0] == (5 - 3) * 2 * 2  # (r - n2)(n3 - 1) p
         assert np.linalg.norm(a @ p_true - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
 
     def test_row_scaling_leaves_solution_set(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
-        found = planted_rowset(rt, s_rows, lam, 2)
-        scaled = EigRowSet(
-            rows=[CommonEigRow(s=2.0 * r_.s, lambdas=r_.lambdas) for r_ in found.rows],
-            target=found.target,
-        )
+        found = planted_rowset(s_rows, lam, 2)
+        scaled = EigRowSet(2.0 * found.S, found.lambdas)
         a, b = build_partial_eig_system(rt, scaled)
         assert np.linalg.norm(a @ p_true - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
 
@@ -132,7 +128,7 @@ class TestPartialEigSystem:
 class TestAssemble:
     def test_full_rowset_fully_determines(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 5))
+        sys2 = assemble_stage2(rt, planted_rowset(s_rows, lam, 5))
         assert sys2.d == 0
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         assert np.linalg.norm(p0 - p_true) <= 1e-8 * np.linalg.norm(p_true)
@@ -140,7 +136,7 @@ class TestAssemble:
 
     def test_affine_set_contains_planted(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0))
+        sys2 = assemble_stage2(rt, planted_rowset(s_rows, lam, 0))
         assert sys2.d > 0
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         x_star = sys2.N.conj().T @ (p_true - p0)
@@ -149,20 +145,14 @@ class TestAssemble:
 
     def test_corrupted_eigenrow_detected(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        found = planted_rowset(rt, s_rows, lam, 3)
-        bad = found.rows[2]
-        poisoned = EigRowSet(
-            rows=found.rows[:2]
-            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas)],
-            target=found.target,
-        )
+        poisoned = poisoned_last_row(planted_rowset(s_rows, lam, 3), rng)
         with pytest.raises(InconsistentSystemError):
             assemble_stage2(rt, poisoned)
 
     def test_dimension_identities(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 9, 4, 4, 9)
         for p in (0, 2, 5):
-            found = planted_rowset(rt, s_rows, lam, p)
+            found = planted_rowset(s_rows, lam, p)
             sys2 = assemble_stage2(rt, found)
             a_hat, _ = dense_system(rt, found)
             d1, d2 = dims_d1_d2(rt)
@@ -188,7 +178,7 @@ class TestFactors:
     @pytest.mark.parametrize("p_rows", [0, 1, 4])
     def test_eigenrow_factor_matches_dense_block(self, rng, p_rows):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 9, 4, 4, 9)
-        found = planted_rowset(rt, s_rows, lam, p_rows)
+        found = planted_rowset(s_rows, lam, p_rows)
         sp, e = eigenrow_factor(rt, found)
         a, b = build_partial_eig_system(rt, found)
         assert sp.shape == (p_rows, 9) and e.shape == (p_rows, 5 * 3)
@@ -214,7 +204,7 @@ class TestFactoredMatchesDense:
     )
     def test_same_solution_set(self, rng, n1, n2, n3, p):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, n1, n2, n3, n1)
-        found = planted_rowset(rt, s_rows, lam, p)
+        found = planted_rowset(s_rows, lam, p)
         sys2 = assemble_stage2(rt, found)
         p_dense, n_dense = dense_solve(rt, found)
         assert sys2.d == n_dense.shape[1]
@@ -224,12 +214,7 @@ class TestFactoredMatchesDense:
         assert np.linalg.norm(proj) <= 1e-10
         if p == 0:
             return
-        bad = found.rows[-1]
-        poisoned = EigRowSet(
-            rows=found.rows[:-1]
-            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, n1), lambdas=bad.lambdas)],
-            target=found.target,
-        )
+        poisoned = poisoned_last_row(found, rng)
         if n3 == 2:
             # no commuting equations: any p <= r eigenrows are satisfiable
             assemble_stage2(rt, poisoned)
@@ -242,7 +227,7 @@ class TestFactoredMatchesDense:
 
     def test_commuting_factor_is_empty_for_two_slices(self, rng):
         _, _, rt, _, _, _, _ = make_planted(rng, 9, 4, 2, 9)
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=9))
+        sys2 = assemble_stage2(rt, EigRowSet.empty(rt))
         assert sys2.A_hat.shape == (5, 0)
         assert sys2.d == 9 * 5
 
@@ -252,14 +237,14 @@ class TestLargeShapes:
 
     def test_30x8x8_fully_determined_at_p0(self, rng):
         _, _, rt, _, _, _, p_true = make_planted(rng, 30, 8, 8, 30)
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=30))
+        sys2 = assemble_stage2(rt, EigRowSet.empty(rt))
         assert sys2.d == 0
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         assert np.linalg.norm(p0 - p_true) <= 1e-8 * np.linalg.norm(p_true)
 
     def test_20x6x6_affine_set_contains_planted(self, rng):
         _, _, rt, _, _, _, p_true = make_planted(rng, 20, 6, 6, 20)
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=20))
+        sys2 = assemble_stage2(rt, EigRowSet.empty(rt))
         assert sys2.d > 0
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         x_star = sys2.N.conj().T @ (p_true - p0)
@@ -269,7 +254,7 @@ class TestLargeShapes:
 class TestEvalG:
     def test_zero_at_planted_coordinates(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0))
+        sys2 = assemble_stage2(rt, planted_rowset(s_rows, lam, 0))
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         x_star = sys2.N.conj().T @ (p_true - p0)
         assert np.linalg.norm(eval_g(x_star, sys2, rt)) <= 1e-8 * rt.norm() ** 2
@@ -280,7 +265,7 @@ class TestEvalG:
         data = base.data.copy()
         data[:, :, 2] = data[:, :, 1]
         rt = build_reduced_tensor(Tensor3(data), 5, seed=rng)
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=5))
+        sys2 = assemble_stage2(rt, EigRowSet.empty(rt))
         # force P_2 == P_3 by evaluating at a symmetric point: the particular
         # solution already satisfies the symmetric linear system
         x = np.zeros(sys2.d, dtype=complex)
@@ -289,14 +274,14 @@ class TestEvalG:
 
     def test_generic_nonzero(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0))
+        sys2 = assemble_stage2(rt, planted_rowset(s_rows, lam, 0))
         assert np.linalg.norm(eval_g(complex_normal(rng, sys2.d), sys2, rt)) > 1e-6
 
 
 class TestJacG:
     def test_finite_difference_agreement(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 1))
+        sys2 = assemble_stage2(rt, planted_rowset(s_rows, lam, 1))
         worst = 0.0
         for _ in range(20):
             x = complex_normal(rng, sys2.d)
@@ -310,13 +295,13 @@ class TestJacG:
 
     def test_empty_when_fully_determined(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 5))
+        sys2 = assemble_stage2(rt, planted_rowset(s_rows, lam, 5))
         j = jac_g(np.zeros(0, dtype=complex), sys2, rt)
         assert j.shape[1] == 0
 
     def test_stationarity_at_planted_zero(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, 0))
+        sys2 = assemble_stage2(rt, planted_rowset(s_rows, lam, 0))
         p0 = np.concatenate([vec(m) for m in sys2.P0])
         x_star = sys2.N.conj().T @ (p_true - p0)
         j = jac_g(x_star, sys2, rt)
@@ -341,7 +326,7 @@ class TestJacG:
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_matches_kron_reference_on_assembled_system(self, rng, p):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 9, 4, 4, 9)
-        sys2 = assemble_stage2(rt, planted_rowset(rt, s_rows, lam, p))
+        sys2 = assemble_stage2(rt, planted_rowset(s_rows, lam, p))
         assert sys2.d > 0
         for _ in range(3):
             x = complex_normal(rng, sys2.d)
@@ -359,22 +344,32 @@ def near_planted_endpoint(rng, sys2, p_true, rel_noise):
 class TestHarvestRows:
     def test_near_planted_endpoint_yields_every_row(self, rng):
         _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 9, 4, 4, 9)
-        sys2 = assemble_stage2(rt, EigRowSet(rows=[], target=9))
+        sys2 = assemble_stage2(rt, EigRowSet.empty(rt))
         x = near_planted_endpoint(rng, sys2, p_true, 1e-4)
-        rows = harvest_rows(sys2, rt, EigRowSet(rows=[], target=9), [(1.0, x)], rng)
+        rows = harvest_rows(sys2, rt, EigRowSet.empty(rt), [(1.0, x)], rng)
         assert rows.complete
         truth = s_rows / np.linalg.norm(s_rows, axis=1, keepdims=True)
         # each harvested row is a planted eigenrow up to a unimodular factor
-        overlap = np.abs(rows.stacked().conj() @ truth.T)
+        overlap = np.abs(rows.S.conj() @ truth.T)
         assert np.allclose(np.sort(overlap.max(axis=1)), 1.0, atol=1e-8)
-        assert all(eig_residual(row.s, row.lambdas, rt) <= RESIDUAL_ZERO_TOL * rt.norm() for row in rows.rows)
+        assert_rowset_valid(rows, rt)
+
+    def test_grown_set_leaves_the_passed_set_unchanged(self, rng):
+        _, _, rt, s_rows, lam, _, p_true = make_planted(rng, 6, 3, 3, 5)
+        found = planted_rowset(s_rows, lam, 2)
+        before = found.S.tobytes()
+        sys2 = assemble_stage2(rt, found)
+        rows = harvest_rows(sys2, rt, found, [(1.0, near_planted_endpoint(rng, sys2, p_true, 1e-4))], rng)
+        assert rows.complete and np.array_equal(rows.S[:2], found.S)
+        assert_rowset_valid(rows, rt)
+        assert found.p == 2 and found.S.tobytes() == before
 
     def test_no_endpoints_keep_the_row_set(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        found = planted_rowset(rt, s_rows, lam, 2)
+        found = planted_rowset(s_rows, lam, 2)
         sys2 = assemble_stage2(rt, found)
         rows = harvest_rows(sys2, rt, found, [], rng)
-        assert rows.p == 2 and rows is not found
+        assert rows.p == 2 and np.array_equal(rows.S, found.S) and np.array_equal(rows.lambdas, found.lambdas)
 
 
 class TestRunStage2:
@@ -390,18 +385,18 @@ class TestRunStage2:
 
     def test_planted_from_scratch(self, rng):
         _, _, rt, _, _, _, _ = make_planted(rng, 9, 4, 4, 9)
-        ms = run_stage2(rt, EigRowSet(rows=[], target=9), rng)
+        ms = run_stage2(rt, EigRowSet.empty(rt), rng)
         assert commutator_bound(ms) <= OFFDIAG_TOL
 
     def test_fully_determined_shortcut(self, rng):
         _, _, rt, s_rows, lam, ms, _ = make_planted(rng, 6, 3, 3, 5)
-        got_ms = run_stage2(rt, planted_rowset(rt, s_rows, lam, 5), rng)
+        got_ms = run_stage2(rt, planted_rowset(s_rows, lam, 5), rng)
         for got, want in zip(got_ms, ms):
             assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
 
     def test_solution_satisfies_combined_system(self, rng):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 7, 3, 3, 6)
-        found = planted_rowset(rt, s_rows, lam, 2)
+        found = planted_rowset(s_rows, lam, 2)
         ms = run_stage2(rt, found, rng)
         a_hat, b_hat = dense_system(rt, found)
         p_vec = np.concatenate([vec(m[:, rt.slice_cols :]) for m in ms])
@@ -425,9 +420,7 @@ class TestEigenrowLevels:
 
     def test_inconsistent_level_drops_last_row(self, rng, monkeypatch):
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        found = planted_rowset(rt, s_rows, lam, 3)
-        bad = found.rows[2]
-        found.rows[2] = CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas)
+        found = poisoned_last_row(planted_rowset(s_rows, lam, 3), rng)
         levels = self.record_levels(monkeypatch)
         ms = run_stage2(rt, found, rng)
         assert levels == [3, 2]
@@ -447,21 +440,19 @@ class TestEigenrowLevels:
             return real(sys2, rt_, rng_, deadline, endpoints)
 
         monkeypatch.setattr(stage2, "_solve_system", first_call_fails)
-        ms = run_stage2(rt, planted_rowset(rt, s_rows, lam, 2), rng)
+        found = planted_rowset(s_rows, lam, 2)
+        before = found.S.tobytes()
+        ms = run_stage2(rt, found, rng)
         assert levels == [2, 5]
         assert commutator_bound(ms) <= OFFDIAG_TOL
+        assert found.p == 2 and found.S.tobytes() == before  # the harvest grew a new set
 
     def test_inconsistent_harvest_ends_stage2(self, rng, monkeypatch):
         import gpcpd.stage2 as stage2
 
         _, _, rt, s_rows, lam, _, _ = make_planted(rng, 6, 3, 3, 5)
-        found = planted_rowset(rt, s_rows, lam, 3)
-        bad = found.rows[2]
-        poisoned = EigRowSet(
-            rows=found.rows[:2]
-            + [CommonEigRow(s=bad.s + 0.05 * complex_normal(rng, 5), lambdas=bad.lambdas)],
-            target=5,
-        )
+        found = planted_rowset(s_rows, lam, 3)
+        poisoned = poisoned_last_row(found, rng)
         levels = self.record_levels(monkeypatch)
         monkeypatch.setattr(stage2, "_solve_system", lambda *args: None)
         monkeypatch.setattr(stage2, "harvest_rows", lambda *args: poisoned)
@@ -478,6 +469,6 @@ class TestEigenrowLevels:
         levels = self.record_levels(monkeypatch)
         monkeypatch.setattr(stage2, "_solve_system", lambda *args: None)
         with pytest.raises(Stage2FailureError):
-            run_stage2(rt, planted_rowset(rt, s_rows, lam, 3), rng)
+            run_stage2(rt, planted_rowset(s_rows, lam, 3), rng)
         assert levels == [3]
 

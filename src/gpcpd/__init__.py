@@ -40,6 +40,7 @@ from .preprocess import (
 from .stage1 import EigRowSet, run_stage1
 from .stage2 import Stage2System, run_stage2
 from .tensors import (
+    Attempt,
     DecompReport,
     FactorTriple,
     Tensor3,
@@ -48,7 +49,6 @@ from .tensors import (
     mode_k_flatten,
     mode_t_matrix_product,
     relative_error,
-    unflatten_mode_k,
 )
 
 __version__ = "0.1.0"

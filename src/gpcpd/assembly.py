@@ -44,9 +44,11 @@ from .preprocess import (
 from .stage1 import EigRowSet, run_stage1
 from .stage2 import run_stage2
 from .tensors import (
+    Attempt,
     DecompReport,
     FactorTriple,
     Tensor3,
+    best_attempt,
     khatri_rao,
     mode_k_flatten,
     relative_error,
@@ -146,23 +148,35 @@ def gevd_lowrank_decompose(f: Tensor3, r: int, rng=None) -> FactorTriple:
     return _factors_from_reduced_eigmatrix(u3, s_inv, f, r)
 
 
-def _middle_rank_attempt(f: Tensor3, r: int, opts: SolveOptions, rng, deadline) -> tuple[FactorTriple, str]:
-    rt = build_reduced_tensor(f, r, seed=rng)
-    found = run_stage1(rt, opts, rng, deadline)
-    if found.complete:
-        return decomposition_from_eigmatrix(found, f, rt), "stage1"
-    ms = run_stage2(rt, found, rng, deadline)
-    rows = eigmatrix_from_pkset(ms, rng)
-    return decomposition_from_eigmatrix(rows, f, rt), "stage2"
+_RECOVERABLE = (AssemblyError, ConditioningError, GenericityError, InconsistentSystemError, Stage2FailureError)
 
 
-_RECOVERABLE = (
-    AssemblyError,
-    ConditioningError,
-    GenericityError,
-    InconsistentSystemError,
-    Stage2FailureError,
-)
+def _attempt(f: Tensor3, r: int, opts: SolveOptions, rng, deadline, mix: bool) -> tuple[Attempt, FactorTriple | None]:
+    """One attempt on the normalized tensor f: its record, and its factors of f (None when it raised)."""
+    start = time.perf_counter()
+    lowrank = r <= f.dims[1]
+    route, rows, work = "lowrank-gevd" if lowrank else "stage1", None, f
+    if mix:
+        # the GEVD reads only the leading r x r block of mode 2, so that mode is mixed too
+        work, w1, w2, w3 = random_mode_mixing(f, seed=rng, mode2=lowrank)
+    try:
+        if lowrank:
+            factors = gevd_lowrank_decompose(work, r, rng)
+        else:
+            rt = build_reduced_tensor(work, r, seed=rng)
+            found = run_stage1(rt, opts, rng, deadline)
+            rows = found.p
+            if not found.complete:
+                route = "stage2"
+                found = eigmatrix_from_pkset(run_stage2(rt, found, rng, deadline), rng)
+            factors = decomposition_from_eigmatrix(found, work, rt)
+    except _RECOVERABLE as exc:
+        return Attempt(route, mix, rows, f"{type(exc).__name__}: {exc}", None, time.perf_counter() - start), None
+    if mix:
+        u2 = factors.U2 if w2 is None else w2.conj().T @ factors.U2
+        factors = FactorTriple(w1.conj().T @ factors.U1, u2, w3.conj().T @ factors.U3, r)
+    err = relative_error(f, factors)
+    return Attempt(route, mix, rows, None, err, time.perf_counter() - start), factors
 
 
 def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[FactorTriple, DecompReport]:
@@ -170,8 +184,9 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
 
     Modes are sorted so the working dims are descending; output factors are
     permuted back. Ranks above the largest dimension are out of scope.
-    On exhausted retries the best candidate found is returned with a failure
-    report; if no attempt produced factors at all, DecompositionError is raised.
+    Attempts run until one reaches ``success_tol``, the retries run out or the
+    deadline passes. The first attempt with the least err_rel gives the factors;
+    if none produced any, DecompositionError is raised. Both list every attempt.
     """
     opts = opts or SolveOptions()
     start = time.perf_counter()
@@ -188,60 +203,34 @@ def decompose(f: Tensor3, r: int, opts: SolveOptions | None = None) -> tuple[Fac
     prescale = not 2.0**-400 < amax < 2.0**400
     if prescale:
         work0 = Tensor3(work0.data / amax)
-    lowrank = r <= work0.dims[1]
     # a unit RMS entry keeps the Gaussian augmentation C commensurate; the
     # low-rank reduction inv(F[:r, :r, 0]) x_1 F[:r, :r, :] is scale-free
     sigma = 1.0
-    if not lowrank:
+    if r > work0.dims[1]:
         sigma = work0.norm() / np.sqrt(work0.data.size)
         work0 = Tensor3(work0.data / sigma)
 
     master = np.random.SeedSequence(opts.seed)
-    best: tuple[float, FactorTriple, str] | None = None
-    attempts = 0
-    last_error: Exception | None = None
-    for attempt in range(_MAX_RETRIES + 1):
-        if attempt > 0 and deadline.exceeded():
+    attempts, candidates = [], []
+    for i in range(_MAX_RETRIES + 1):
+        if i > 0 and deadline.exceeded():
             break
-        attempts = attempt + 1
-        rng = np.random.default_rng(master.spawn(1)[0])
-        mix = attempt > 0
-        if mix:
-            # the GEVD reads only the leading r x r block of mode 2, so that mode is mixed too
-            work, w1, w2, w3 = random_mode_mixing(work0, seed=rng, mode2=lowrank)
-        else:
-            work = work0
-        try:
-            if lowrank:
-                factors, stage = gevd_lowrank_decompose(work, r, rng), "lowrank-gevd"
-            else:
-                factors, stage = _middle_rank_attempt(work, r, opts, rng, deadline)
-        except _RECOVERABLE as exc:
-            last_error = exc
-            continue
-        if mix:
-            u2 = factors.U2 if w2 is None else w2.conj().T @ factors.U2
-            factors = FactorTriple(w1.conj().T @ factors.U1, u2, w3.conj().T @ factors.U3, r)
-        err = relative_error(work0, factors)
-        if best is None or err < best[0]:
-            best = (err, factors, stage)
-        if err <= opts.success_tol:
+        record, factors = _attempt(work0, r, opts, np.random.default_rng(master.spawn(1)[0]), deadline, mix=i > 0)
+        attempts.append(record)
+        candidates.append(factors)
+        if factors is not None and record.err_rel <= opts.success_tol:
             break
 
+    attempts = tuple(attempts)
+    best = best_attempt(attempts)
     if best is None:
-        last = f"{type(last_error).__name__}: {last_error}"
-        raise DecompositionError(f"no candidate decomposition after {attempts} attempts; last error {last}")
-    err, factors, stage = best
+        msg = f"no candidate decomposition after {len(attempts)} attempts; last error {attempts[-1].cause}"
+        lines = "".join(f"\n{i}. {a.route}{', mixed' if a.mixed else ''}: {a.cause}" for i, a in enumerate(attempts, 1))
+        raise DecompositionError(msg + lines, attempts)
+    err, factors = attempts[best].err_rel, candidates[best]
     # undo normalization and mode sorting
     u1 = factors.U1 * sigma
     mats = [u1 * amax if prescale else u1, factors.U2, factors.U3]
     factors = FactorTriple(*(mats[i] for i in np.argsort(order)), r)
-    report = DecompReport(
-        err_rel=err,
-        stage_used=stage,
-        retries=attempts - 1,
-        elapsed=time.perf_counter() - start,
-        seed=opts.seed,
-        success=err <= opts.success_tol,
-    )
+    report = DecompReport(err, time.perf_counter() - start, opts.seed, err <= opts.success_tol, attempts)
     return factors, report

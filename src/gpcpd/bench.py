@@ -17,7 +17,7 @@ import numpy as np
 
 from .als import als_decompose
 from .assembly import decompose
-from .exceptions import FormatError, GpcpdError
+from .exceptions import DecompositionError, FormatError, GpcpdError
 from .fixtures import DISTRIBUTIONS, FIXTURES, gen_random_rank_r
 from .options import SUCCESS_TOL, SolveOptions, is_int
 from .tensors import relative_error
@@ -145,26 +145,23 @@ def _run_task(task: dict) -> dict:
     }
     t0 = time.perf_counter()
     err = float("inf")
-    timed_out = False
     try:
         if method == "ts":
             opts = SolveOptions(seed=task["solver_seed"], time_limit=task["time_limit"], success_tol=task["success_tol"])
             factors, report = decompose(tensor, inst.rank, opts)
             err = report.err_rel
-            record["stage"] = report.stage_used
-            record["retries"] = report.retries
+            record.update(stage=report.stage_used, retries=report.retries, causes=[a.cause for a in report.attempts])
         else:
             factors, _ = als_decompose(tensor, inst.rank, task["solver_seed"])
             err = relative_error(tensor, factors)
     except GpcpdError as exc:
         record["error_detail"] = str(exc)
+        if method == "ts" and isinstance(exc, DecompositionError):
+            record["causes"] = [a.cause for a in exc.attempts]
     elapsed = time.perf_counter() - t0
-    if task["time_limit"] is not None and elapsed > task["time_limit"]:
-        timed_out = True
+    timed_out = task["time_limit"] is not None and elapsed > task["time_limit"]
     success = (not timed_out) and err <= task["success_tol"]
-    record.update(
-        err_rel=float(err), time=elapsed, success=bool(success), timed_out=bool(timed_out)
-    )
+    record.update(err_rel=float(err), time=elapsed, success=bool(success), timed_out=bool(timed_out))
     return record
 
 

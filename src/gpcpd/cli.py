@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -49,16 +50,9 @@ def _cmd_decompose(args) -> int:
     except GpcpdError as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE_FAILURE
-    summary = {
-        "dims": list(tensor.dims),
-        "rank": args.rank,
-        "err_rel": report.err_rel,
-        "success": report.success,
-        "stage_used": report.stage_used,
-        "retries": report.retries,
-        "elapsed": report.elapsed,
-        "seed": report.seed,
-    }
+    # the report's fields, its attempts as objects, and the two fields derived from them
+    summary = {"dims": list(tensor.dims), "rank": args.rank, **asdict(report)}
+    summary.update(stage_used=report.stage_used, retries=report.retries)
     print(json.dumps(summary))
     if args.output:
         try:

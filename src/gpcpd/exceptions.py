@@ -49,4 +49,8 @@ class AssemblyError(GpcpdError):
 
 
 class DecompositionError(GpcpdError):
-    """Top-level decomposition failed to produce any candidate factors."""
+    """Top-level decomposition failed to produce any candidate factors; ``attempts`` records each try."""
+
+    def __init__(self, message: str, attempts: tuple = ()):
+        super().__init__(message)
+        self.attempts = attempts

@@ -98,15 +98,41 @@ class FactorTriple:
 
 
 @dataclass(frozen=True)
+class Attempt:
+    """Record of one attempt of a decomposition run."""
+
+    route: str  # "lowrank-gevd" | "stage1" | "stage2"; "stage2" once stage 1 stopped short
+    mixed: bool  # modes randomly mixed first (every attempt after the first)
+    rows: int | None  # stage-1 rows found; None on the low-rank route or when stage 1 did not return
+    cause: str | None  # "Class: message" of the recoverable error that ended it
+    err_rel: float | None  # None when it produced no factors
+    elapsed: float
+
+
+def best_attempt(attempts) -> int | None:
+    """Index of the first attempt with the least err_rel; None when none produced factors."""
+    produced = [i for i, a in enumerate(attempts) if a.err_rel is not None]
+    return min(produced, key=lambda i: attempts[i].err_rel, default=None)
+
+
+@dataclass(frozen=True)
 class DecompReport:
-    """Outcome record of one decomposition run."""
+    """Outcome record of one decomposition run, with its attempts in order."""
 
     err_rel: float
-    stage_used: str  # "lowrank-gevd" | "stage1" | "stage2"
-    retries: int
     elapsed: float
     seed: int | None
     success: bool
+    attempts: tuple[Attempt, ...]
+
+    @property
+    def retries(self) -> int:
+        return len(self.attempts) - 1
+
+    @property
+    def stage_used(self) -> str:
+        """Route of the attempt whose factors were returned."""
+        return self.attempts[best_attempt(self.attempts)].route
 
 
 def _cpd_array(f: FactorTriple) -> np.ndarray:
@@ -139,19 +165,6 @@ def mode_k_flatten(t: Tensor3, k: int) -> np.ndarray:
     n1, n2, n3 = t.dims
     nk = t.dims[k - 1]
     return np.transpose(t.data, axes).reshape(nk, (n1 * n2 * n3) // nk)
-
-
-def unflatten_mode_k(m: np.ndarray, dims, k: int) -> Tensor3:
-    """Inverse of :func:`mode_k_flatten` for the given full tensor dims."""
-    if k not in (1, 2, 3):
-        raise DimensionMismatchError(f"mode must be 1, 2 or 3, got {k}")
-    m = _as_complex(m)
-    n1, n2, n3 = dims
-    axes = _MODE_ORDER[k]
-    shape = tuple(dims[a] for a in axes)
-    if m.shape != (dims[k - 1], (n1 * n2 * n3) // dims[k - 1]):
-        raise DimensionMismatchError(f"flattening shape {m.shape} does not match dims {dims}")
-    return Tensor3(np.transpose(m.reshape(shape), np.argsort(axes)))
 
 
 def mode_t_matrix_product(v: np.ndarray, t: Tensor3, mode: int) -> Tensor3:

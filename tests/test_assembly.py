@@ -470,8 +470,34 @@ def test_decomposition_error_names_last_attempt_error(rng, monkeypatch):
 
     monkeypatch.setattr(assembly, "build_reduced_tensor", failing)
     tensor, _ = planted_instance(rng, 6, 4, 3, 5)
-    with pytest.raises(DecompositionError, match="ConditioningError: probe"):
+    with pytest.raises(DecompositionError, match="after 6 attempts; last error ConditioningError: probe") as info:
         decompose(tensor, 5, SolveOptions(seed=3))
+    attempts = info.value.attempts
+    assert [a.cause for a in attempts] == ["ConditioningError: probe"] * 6
+    assert [a.mixed for a in attempts] == [False] + [True] * 5
+    # the reduction raised: still stage 1's route, no rows, no factors
+    assert all(a.route == "stage1" and a.rows is None and a.err_rel is None for a in attempts)
+    assert len(str(info.value).splitlines()) == 7  # the summary, then one line per attempt
+
+
+ROUTE_CASES = {
+    # name: (tensor maker, rank, options, route of the returned factors, rows stage 1 found)
+    "lowrank": (lambda: planted_instance(np.random.default_rng(5), 8, 6, 5, 4)[0], 4, {}, "lowrank-gevd", None),
+    "stage1": (lambda: planted_instance(np.random.default_rng(5), 6, 4, 3, 5)[0], 5, {}, "stage1", 5),
+    "stage2": (lambda: fixture_example41()[0], 5, {"stage1_max_rows": 2}, "stage2", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_attempt_records_agree_with_report(case):
+    make, r, options, route, rows = ROUTE_CASES[case]
+    _, report = decompose(make(), r, SolveOptions(seed=17, **options))
+    assert report.success and len(report.attempts) == report.retries + 1
+    best = next(a for a in report.attempts if a.err_rel == report.err_rel)
+    assert (best.route, best.rows, best.cause) == (report.stage_used, rows, None)
+    assert report.stage_used == route
+    assert [a.mixed for a in report.attempts] == [i > 0 for i in range(len(report.attempts))]
+    assert 0.0 < sum(a.elapsed for a in report.attempts) <= report.elapsed
 
 
 def test_time_limit_is_cooperative(rng):
@@ -505,6 +531,9 @@ def test_non_finite_lm_value_moves_on_to_next_attempt(rng, monkeypatch):
     factors, report = decompose(tensor, 5, SolveOptions(seed=13))
     assert report.success and report.retries >= 1
     assert relative_error(tensor, factors) <= 1e-6
+    first, retry = report.attempts[:2]
+    assert (first.mixed, first.err_rel, retry.mixed) == (False, None, True)
+    assert first.cause is not None
 
 
 @pytest.mark.parametrize(

@@ -57,6 +57,22 @@ def test_worker_pool_matches_serial():
     assert strip(serial.runs) == strip(pooled.runs)
 
 
+def test_ts_runs_record_attempt_causes(monkeypatch):
+    import gpcpd.assembly as assembly
+    from gpcpd import ConditioningError
+
+    solved = run_benchmark(small_config())
+    assert all(r["success"] and r["causes"] == [None] for r in solved.runs)
+
+    def failing(*args, **kwargs):
+        raise ConditioningError("probe")
+
+    monkeypatch.setattr(assembly, "build_reduced_tensor", failing)
+    failed = run_benchmark(small_config())
+    assert [r["causes"] for r in failed.runs] == [["ConditioningError: probe"] * 6] * 2
+    assert not any(r["success"] for r in failed.runs)
+
+
 def test_fixture_instance_and_csv_columns(tmp_path):
     cfg = BenchConfig(
         instances=[BenchInstance(rank=5, count=2, fixture="example41")],

@@ -30,6 +30,9 @@ def test_fixture_then_decompose_roundtrip(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["err_rel"] <= 1e-6
     assert summary["success"] is True
+    assert len(summary["attempts"]) == summary["retries"] + 1
+    assert summary["attempts"][-1]["err_rel"] == summary["err_rel"]
+    assert summary["attempts"][-1]["route"] == summary["stage_used"]
     factors = load_factors(factors_path)
     tensor = load_tensor(paths["tensor"])
     assert relative_error(tensor, factors) <= 1e-6

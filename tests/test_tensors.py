@@ -13,11 +13,20 @@ from gpcpd import (
     mode_k_flatten,
     mode_t_matrix_product,
     relative_error,
-    unflatten_mode_k,
 )
 from gpcpd.linalg import random_unitary
 
 from conftest import planted_instance, random_triple
+
+
+# mode_k_flatten's row-major axis order: mode k, then the other two modes, the first fastest
+_FLATTEN_AXES = {1: (0, 2, 1), 2: (1, 2, 0), 3: (2, 1, 0)}
+
+
+def unflatten_mode_k(m: np.ndarray, dims, k: int) -> Tensor3:
+    """Inverse of mode_k_flatten for the given full tensor dims."""
+    axes = _FLATTEN_AXES[k]
+    return Tensor3(np.transpose(np.reshape(m, [dims[a] for a in axes]), np.argsort(axes)))
 
 
 def triple_loop_cpd(f: FactorTriple) -> np.ndarray:
